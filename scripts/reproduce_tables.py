@@ -57,12 +57,9 @@ def show_shift_coefficients() -> None:
     print("\n== shift convolution coefficients (m = 3..8) ==")
     for name in PRESET_NAMES:
         ctx = OctSequenceContext(preset_lookup(name))
-        p = ctx.params
         print(f"[{name}]  O(n+m) = A*O(n+2) + B*O(n+1) + C*O(n)")
         for m in range(3, 9):
-            a = ctx.useq(m - 1)
-            b = p.s * ctx.useq(m - 2) + p.t * ctx.useq(m - 3)
-            c = p.t * ctx.useq(m - 2)
+            a, b, c = ctx.shift_coefficients(m)
             print(f"  m={m}: A={a} B={b} C={c}")
 
 

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .genfunc import build_gf, format_polynomial, gf_numerator
 from .octseq import OctSequenceContext
 from .scalars import RegimeError, VariantError, format_scalar, parse_exact
-from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, seq_term
+from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, terms
 from .cubic import cubic_roots
 from .verify import SuiteConfig, run_suite
 
@@ -30,6 +33,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # read '-1/3' as a value, like '-1' and '-0.5', not as an unknown option
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(message)
 
@@ -136,32 +144,47 @@ def _resolve_params(args: argparse.Namespace) -> RecurrenceParams:
     if sources != 1:
         raise CliError("supply exactly one parameter source: --preset, --config, or all of --r..--v2")
     if args.preset is not None:
-        try:
-            return preset_lookup(args.preset.replace("-", "_"))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        return preset_lookup(args.preset.replace("-", "_"))
     if args.config is not None:
         return _params_from_config(args.config)
     if any(v is None for v in explicit):
         raise CliError("explicit parameters need all six of --r --s --t --v0 --v1 --v2")
-    try:
-        return _make_params([parse_exact(v) for v in explicit])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return _make_params([parse_exact(v) for v in explicit])
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    # output rows print exact terms of any length; inputs keep the default limit
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     lo, hi = _parse_range(args.n)
-    rows = [(n, format_scalar(seq_term(params, n))) for n in range(lo, hi + 1)]
+    with _exact_digits():
+        rows = [
+            (n, format_scalar(v))
+            for n, v in zip(range(lo, hi + 1), islice(terms(params), lo, None))
+        ]
     if args.format == "csv":
         text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
     elif args.format == "jsonl":
@@ -173,7 +196,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _oct_rows(args: argparse.Namespace, octonions: list) -> str:
-    serialized = [(n, o.serialize()) for n, o in octonions]
+    with _exact_digits():
+        serialized = [(n, o.serialize()) for n, o in octonions]
     if args.format == "csv":
         header = "n," + ",".join(f"e{l}" for l in range(8)) + "\n"
         return header + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in serialized)
@@ -194,14 +218,13 @@ def _cmd_oct(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     ctx = OctSequenceContext(_resolve_params(args))
     lo, hi = _parse_range(args.n)
-    rows = []
-    for n in range(lo, hi + 1):
-        try:
-            rows.append((n, ctx.sum_octonions(n)))
-        except RegimeError:
-            # delta == 0: the closed form is undefined but the sum itself
-            # is not; fall back to direct summation
-            rows.append((n, ctx.oct_prefix_sum(n)))
+    if ctx.params.delta:
+        rows = [(n, ctx.sum_octonions(n)) for n in range(lo, hi + 1)]
+    else:
+        # delta == 0: the closed form is undefined but the sum itself is
+        # not; fall back to direct summation
+        sums = ctx.oct_prefix_sums(hi)
+        rows = [(n, sums[n]) for n in range(lo, hi + 1)]
     _emit(args, _oct_rows(args, rows))
     return 0
 
@@ -236,25 +259,14 @@ def _cmd_genfunc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.preset == "all":
-        presets = PRESET_NAMES
-    else:
-        name = args.preset.replace("-", "_")
-        try:
-            preset_lookup(name)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        presets = (name,)
-    try:
-        config = SuiteConfig(
-            presets=presets,
-            random_sets=args.random_sets,
-            n_max=args.n_max,
-            m_max=args.m_max,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    presets = PRESET_NAMES if args.preset == "all" else (args.preset.replace("-", "_"),)
+    config = SuiteConfig(
+        presets=presets,
+        random_sets=args.random_sets,
+        n_max=args.n_max,
+        m_max=args.m_max,
+        seed=args.seed,
+    )
     report = run_suite(config)
     _emit(args, report.to_json() if args.report == "json" else report.to_text())
     return 2 if report.total_failures else 0
@@ -275,10 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"trioct: error: {exc}", file=sys.stderr)
-        return 1
-    except (RegimeError, VariantError, ValueError) as exc:
+    except (CliError, RegimeError, VariantError, ValueError) as exc:
         print(f"trioct: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

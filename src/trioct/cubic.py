@@ -8,6 +8,7 @@ the floating-point discriminant is carried as a value only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,8 @@ from .sequences import RecurrenceParams
 
 # relative |vandermonde| floor below which the roots count as repeated
 _SEPARATION_FACTOR = 1e-9
+
+_NEEDS_DOUBLES = "out of float range; the root-based closed forms need doubles"
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,20 @@ def _real_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _double(name: str, value: int | Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise RegimeError(f"{name} is {_NEEDS_DOUBLES}") from None
+
+
 def cubic_roots(params: RecurrenceParams) -> CubicRoots:
     """Solve the characteristic cubic in the one-real-two-complex regime.
 
-    Raises RegimeError when the exact discriminant is <= 0 or when the
+    Raises RegimeError when the exact discriminant is <= 0, when the
     computed roots are too close to repeated for the closed forms to be
-    well conditioned.
+    well conditioned, or when a parameter, the discriminant or the roots
+    are out of double-precision range.
     """
     disc = discriminant_exact(params)
     if disc <= 0:
@@ -76,31 +87,31 @@ def cubic_roots(params: RecurrenceParams) -> CubicRoots:
             f"discriminant {disc} <= 0: need one real and two conjugate "
             "complex roots"
         )
-    r = float(params.r)
-    s = float(params.s)
-    t = float(params.t)
-    base = r**3 / 27 + r * s / 6 + t / 2
-    sq = math.sqrt(float(disc))
-    big = _real_cbrt(base + sq)
-    small = _real_cbrt(base - sq)
-    alpha = r / 3 + big + small
-    re = r / 3 - (big + small) / 2
-    im = math.sqrt(3.0) / 2 * (big - small)  # big >= small, so im >= 0
-    omega1 = complex(re, im)
-    omega2 = complex(re, -im)
+    r, s, t = (_double(f"coefficient {k}", getattr(params, k)) for k in "rst")
+    v0, v1, v2 = (complex(_double(f"initial value {k}", getattr(params, k))) for k in ("v0", "v1", "v2"))
+    sq = math.sqrt(_double("the discriminant", disc))
+    try:
+        base = r**3 / 27 + r * s / 6 + t / 2
+        big = _real_cbrt(base + sq)
+        small = _real_cbrt(base - sq)
+        alpha = r / 3 + big + small
+        re = r / 3 - (big + small) / 2
+        im = math.sqrt(3.0) / 2 * (big - small)  # big >= small, so im >= 0
+        omega1 = complex(re, im)
+        omega2 = complex(re, -im)
 
-    a = complex(alpha)
-    vandermonde = (a - omega1) * (a - omega2) * (omega1 - omega2)
-    scale = (1.0 + max(abs(r), abs(s), abs(t))) ** 3
+        a = complex(alpha)
+        vandermonde = (a - omega1) * (a - omega2) * (omega1 - omega2)
+        scale = (1.0 + max(abs(r), abs(s), abs(t))) ** 3
+        weight_alpha = v2 - (omega1 + omega2) * v1 + (omega1 * omega2) * v0
+        weight_omega1 = v2 - (a + omega2) * v1 + (a * omega2) * v0
+        weight_omega2 = v2 - (a + omega1) * v1 + (a * omega1) * v0
+        if not all(map(cmath.isfinite, (vandermonde, weight_alpha, weight_omega1, weight_omega2))):
+            raise OverflowError
+    except OverflowError:
+        raise RegimeError(f"the roots or their weights are {_NEEDS_DOUBLES}") from None
     if abs(vandermonde) < _SEPARATION_FACTOR * scale:
         raise RegimeError("roots are numerically repeated; closed forms rejected")
-
-    v0 = complex(float(params.v0))
-    v1 = complex(float(params.v1))
-    v2 = complex(float(params.v2))
-    weight_alpha = v2 - (omega1 + omega2) * v1 + (omega1 * omega2) * v0
-    weight_omega1 = v2 - (a + omega2) * v1 + (a * omega2) * v0
-    weight_omega2 = v2 - (a + omega1) * v1 + (a * omega1) * v0
 
     return CubicRoots(
         alpha=alpha,

@@ -6,19 +6,21 @@ hold term by term (recurrence, prefix sums, index shifts) are computed in
 exact arithmetic; only the root-based closed forms (Binet, norm, quadratic
 approximation) use floating point.
 
-An OctSequenceContext is built once and then read-only, so identity checks
-for different n may run concurrently over a shared context.
+An OctSequenceContext fills its term caches lazily and is otherwise
+read-only; extending one cache from two threads at once is not safe.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, islice
+from typing import Iterator
 
 from .cubic import CubicRoots, binet_scalar, cubic_roots
 from .octonion import Octonion
-from .scalars import RegimeError, Scalar, as_complex, one, zero
-from .sequences import RecurrenceParams, seq_term
+from .scalars import RATIONAL, RegimeError, Scalar, as_complex
+from .sequences import RecurrenceParams, sum_constant, terms
 
 
 def power_octonion(x: complex) -> Octonion:
@@ -31,16 +33,12 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
     """The constant octonion closing the prefix-sum formula, exact rational.
 
     Component l is lam - delta*(term(0)+...+term(l-1)) with
-    lam = (r+s-1)*v0 + (r-1)*v1 - v2 (empty sum at l = 0).
+    lam = sum_constant (empty sum at l = 0).
     """
-    lam = Fraction((params.r + params.s - 1) * params.v0 + (params.r - 1) * params.v1 - params.v2)
+    lam = Fraction(sum_constant(params, params.s))
     d = Fraction(params.delta)
-    comps = []
-    running = Fraction(0)
-    for l in range(8):
-        comps.append(lam - d * running)
-        running += Fraction(seq_term(params, l))
-    return Octonion(tuple(comps))
+    running = accumulate(islice(terms(params), 7), initial=0)
+    return Octonion._raw(tuple(lam - d * x for x in running), RATIONAL)
 
 
 class OctSequenceContext:
@@ -48,9 +46,10 @@ class OctSequenceContext:
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
-        kind = params.variant
-        self._v: list[Scalar] = [params.v0, params.v1, params.v2]
-        self._u: list[Scalar] = [zero(kind), one(kind), params.r]
+        self._kind = params.variant
+        # each cache: the terms so far and the generator that continues them
+        self._v = ([], terms(params))
+        self._u = ([], terms(params, companion=True))
         self._roots: CubicRoots | None = None
 
     @property
@@ -60,28 +59,31 @@ class OctSequenceContext:
             self._roots = cubic_roots(self.params)
         return self._roots
 
-    def _extend(self, cache: list[Scalar], n: int) -> Scalar:
+    @staticmethod
+    def _extend(source: tuple[list, Iterator], n: int, width: int = 1) -> list[Scalar]:
+        # the cached terms, holding at least term(n) .. term(n + width - 1)
         if n < 0:
             raise ValueError("sequence index must be nonnegative")
-        r, s, t = self.params.r, self.params.s, self.params.t
-        while len(cache) <= n:
-            cache.append(r * cache[-1] + s * cache[-2] + t * cache[-3])
-        return cache[n]
+        cache, items = source
+        missing = n + width - len(cache)
+        if missing > 0:
+            cache.extend(islice(items, missing))
+        return cache
 
     def seq(self, n: int) -> Scalar:
         """Exact n-th term of the family (cached)."""
-        return self._extend(self._v, n)
+        return self._extend(self._v, n)[n]
 
     def useq(self, n: int) -> Scalar:
         """Exact n-th companion term, seeds (0, 1, r) (cached)."""
-        return self._extend(self._u, n)
+        return self._extend(self._u, n)[n]
 
     # -- the lift and its exact identities ---------------------------------
 
     def oct_term(self, n: int) -> Octonion:
         """Octonion with components (term(n), ..., term(n+7)), exact."""
-        self._extend(self._v, n + 7)
-        return Octonion(tuple(self._v[n : n + 8]))
+        # cached terms share the validated parameters' variant
+        return Octonion._raw(tuple(self._extend(self._v, n, 8)[n : n + 8]), self._kind)
 
     def norm_sq(self, n: int) -> Scalar:
         """Exact squared norm of the lift: sum of the eight squared terms."""
@@ -103,12 +105,15 @@ class OctSequenceContext:
         )
         return lhs, self.oct_term(n + 2)
 
+    def oct_prefix_sums(self, n: int) -> list[Octonion]:
+        """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational."""
+        if n < 0:
+            raise ValueError("sequence index must be nonnegative")
+        return [total.as_rational() for total in accumulate(map(self.oct_term, range(n + 1)))]
+
     def oct_prefix_sum(self, n: int) -> Octonion:
         """Direct summation oracle O(0) + ... + O(n), exact rational."""
-        total = Octonion.zero(self.params.variant)
-        for k in range(n + 1):
-            total = total + self.oct_term(k)
-        return total.as_rational()
+        return self.oct_prefix_sums(n)[-1]
 
     def sum_octonions(self, n: int) -> Octonion:
         """Closed form for O(0) + ... + O(n), exact rational.
@@ -139,19 +144,22 @@ class OctSequenceContext:
         with U the companion family; needs m >= 3 (U at negative indices is
         undefined).  Returns (lhs, rhs), equal exactly.
         """
-        if m < 3:
-            raise RegimeError("the shift convolution is stated for m >= 3")
+        a, b, c = self.shift_coefficients(m)
         if n < 0:
             raise ValueError("sequence index must be nonnegative")
+        rhs = self.oct_term(n + 2) * a + self.oct_term(n + 1) * b + self.oct_term(n) * c
+        return self.oct_term(n + m), rhs
+
+    def shift_coefficients(self, m: int) -> tuple[Scalar, Scalar, Scalar]:
+        """The weights of O(n+2), O(n+1), O(n) in O(n+m), for any n.
+
+        (U(m-1), s*U(m-2) + t*U(m-3), t*U(m-2)); needs m >= 3.
+        """
+        if m < 3:
+            raise RegimeError("the shift convolution is stated for m >= 3")
         p = self.params
         u1, u2, u3 = self.useq(m - 1), self.useq(m - 2), self.useq(m - 3)
-        lhs = self.oct_term(n + m)
-        rhs = (
-            self.oct_term(n + 2) * u1
-            + self.oct_term(n + 1) * (p.s * u2 + p.t * u3)
-            + self.oct_term(n) * (p.t * u2)
-        )
-        return lhs, rhs
+        return u1, p.s * u2 + p.t * u3, p.t * u2
 
     # -- root-based closed forms (floating point) ---------------------------
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .scalars import (
     EXACT_VARIANTS,
@@ -55,9 +57,6 @@ class RecurrenceParams:
         """r + s + t - 1, the divisor of the closed-form prefix sums."""
         return self.r + self.s + self.t - 1
 
-    def as_rational(self) -> "RecurrenceParams":
-        return RecurrenceParams(*(Fraction(f) for f in self.fields()))
-
 
 PRESETS: dict[str, RecurrenceParams] = {
     "tribonacci": RecurrenceParams(1, 1, 1, 0, 1, 1),
@@ -82,28 +81,33 @@ def _check_index(n: int) -> None:
         raise ValueError(f"sequence index must be a nonnegative integer, got {n!r}")
 
 
-def _iterate(params: RecurrenceParams, seeds: tuple[Scalar, Scalar, Scalar], n: int) -> Scalar:
-    a, b, c = seeds
-    if n == 0:
-        return a
-    if n == 1:
-        return b
-    for _ in range(n - 2):
-        a, b, c = b, c, params.r * c + params.s * b + params.t * a
-    return c
+def terms(params: RecurrenceParams, companion: bool = False) -> Iterator[Scalar]:
+    """Yield term 0, 1, 2, ... exactly; companion=True yields U, seeds (0, 1, r).
+
+    The one place the recurrence is stepped.  Seeds are yielded verbatim
+    and every term keeps the parameters' scalar variant.
+    """
+    r, s, t = params.r, params.s, params.t
+    if companion:
+        kind = params.variant
+        a, b, c = zero(kind), one(kind), r
+    else:
+        a, b, c = params.v0, params.v1, params.v2
+    while True:
+        yield a
+        a, b, c = b, c, r * c + s * b + t * a
 
 
 def seq_term(params: RecurrenceParams, n: int) -> Scalar:
     """Exact n-th term by forward iteration; seeds returned verbatim."""
     _check_index(n)
-    return _iterate(params, (params.v0, params.v1, params.v2), n)
+    return next(islice(terms(params), n, None))
 
 
 def u_term(params: RecurrenceParams, n: int) -> Scalar:
     """The companion family with seeds (0, 1, r) under the same recurrence."""
     _check_index(n)
-    kind = params.variant
-    return _iterate(params, (zero(kind), one(kind), params.r), n)
+    return next(islice(terms(params, companion=True), n, None))
 
 
 def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar]:
@@ -113,29 +117,24 @@ def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar
     """
     if n < 2:
         raise ValueError("the companion expansion needs n >= 2")
-    lhs = seq_term(params, n + 1)
-    rhs = (
-        params.v2 * u_term(params, n)
-        + (params.s * params.v1 + params.t * params.v0) * u_term(params, n - 1)
-        + params.t * params.v1 * u_term(params, n - 2)
-    )
-    return lhs, rhs
+    _, s, t, v0, v1, v2 = params.fields()
+    u_n2, u_n1, u_n = islice(terms(params, companion=True), n - 2, n + 1)
+    return seq_term(params, n + 1), v2 * u_n + (s * v1 + t * v0) * u_n1 + t * v1 * u_n2
 
 
 def prefix_sum(params: RecurrenceParams, n: int) -> Scalar:
     """Direct summation oracle: term(0) + ... + term(n), exact."""
     _check_index(n)
-    total = zero(params.variant)
-    a, b, c = params.v0, params.v1, params.v2
-    for k in range(n + 1):
-        total += a
-        a, b, c = b, c, params.r * c + params.s * b + params.t * a
-    return total
+    return sum(islice(terms(params), n + 1), zero(params.variant))
 
 
-def _sum_constant(r: Scalar, s: Scalar, params: RecurrenceParams) -> Scalar:
-    # constant term that collapses the telescoped prefix sum
-    return (r + s - 1) * params.v0 + (r - 1) * params.v1 - params.v2
+def sum_constant(params: RecurrenceParams, s: Scalar) -> Scalar:
+    """(r+s-1)*v0 + (r-1)*v1 - v2, the constant that closes the telescoped prefix sum.
+
+    s is passed in so that partial_sum_formula_uncorrected can rebuild the
+    misprinted (r-s-1)*v0 constant with -s.
+    """
+    return (params.r + s - 1) * params.v0 + (params.r - 1) * params.v1 - params.v2
 
 
 def partial_sum_formula(params: RecurrenceParams, n: int) -> Fraction:
@@ -145,7 +144,7 @@ def partial_sum_formula(params: RecurrenceParams, n: int) -> Fraction:
     The (r+s-1)*v0 sign is the verified one; see partial_sum_formula_uncorrected
     for the misprinted variant this replaces.  Undefined when delta == 0.
     """
-    return _partial_sum(params, n, _sum_constant(params.r, params.s, params))
+    return _partial_sum(params, n, sum_constant(params, params.s))
 
 
 def partial_sum_formula_uncorrected(params: RecurrenceParams, n: int) -> Fraction:
@@ -154,8 +153,7 @@ def partial_sum_formula_uncorrected(params: RecurrenceParams, n: int) -> Fractio
     Kept only to demonstrate the misprint: it fails whenever s*v0 != 0
     (witness r=s=t=1, v=(1,0,0), n=0).  Use partial_sum_formula.
     """
-    wrong = (params.r - params.s - 1) * params.v0 + (params.r - 1) * params.v1 - params.v2
-    return _partial_sum(params, n, wrong)
+    return _partial_sum(params, n, sum_constant(params, -params.s))
 
 
 def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction:
@@ -166,10 +164,6 @@ def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction
             "r + s + t - 1 is zero: the closed-form prefix sum is undefined; "
             "use prefix_sum instead"
         )
-    total = (
-        seq_term(params, n + 2)
-        + (1 - params.r) * seq_term(params, n + 1)
-        + params.t * seq_term(params, n)
-        + constant
-    )
+    t_n, t_n1, t_n2 = islice(terms(params), n, n + 3)
+    total = t_n2 + (1 - params.r) * t_n1 + params.t * t_n + constant
     return Fraction(total) / Fraction(d)

@@ -171,32 +171,22 @@ class CategoryResult:
     run: int = 0
     failed: int = 0
     skipped: int = 0
-    max_abs_residual: float = 0.0
     max_rel_residual: float = 0.0
 
-    def record_exact(self, ok: bool, abs_residual: float = 0.0, rel_residual: float = 0.0) -> None:
+    def record_exact(self, ok: bool, rel_residual: float = 0.0) -> None:
         self.run += 1
         if not ok:
             self.failed += 1
-            self.max_abs_residual = max(self.max_abs_residual, abs_residual)
             self.max_rel_residual = max(self.max_rel_residual, rel_residual)
 
-    def record_numeric(self, abs_residual: float, rel_residual: float, tol: float) -> None:
+    def record_numeric(self, rel_residual: float, tol: float) -> None:
         self.run += 1
-        self.max_abs_residual = max(self.max_abs_residual, abs_residual)
         self.max_rel_residual = max(self.max_rel_residual, rel_residual)
         if rel_residual > tol:
             self.failed += 1
 
     def skip(self, count: int = 1) -> None:
         self.skipped += count
-
-    def merge(self, other: "CategoryResult") -> None:
-        self.run += other.run
-        self.failed += other.failed
-        self.skipped += other.skipped
-        self.max_abs_residual = max(self.max_abs_residual, other.max_abs_residual)
-        self.max_rel_residual = max(self.max_rel_residual, other.max_rel_residual)
 
 
 @dataclass
@@ -255,23 +245,19 @@ def make_random_params(rng: random.Random) -> RecurrenceParams:
     )
 
 
-def _oct_residuals(approx: Octonion, exact: Octonion) -> tuple[float, float]:
-    """Componentwise (max abs, max scaled) residual against the exact value."""
-    max_abs = 0.0
-    max_rel = 0.0
+def _oct_residual(approx: Octonion, exact: Octonion) -> float:
+    """Componentwise max scaled residual against the exact value."""
+    worst = 0.0
     for a, e in zip(approx.components, exact.components):
-        diff = abs(complex(a) - complex(e))
-        max_abs = max(max_abs, diff)
-        max_rel = max(max_rel, diff / max(1.0, abs(complex(e))))
-    return max_abs, max_rel
+        worst = max(worst, abs(complex(a) - complex(e)) / max(1.0, abs(complex(e))))
+    return worst
 
 
 def _exact_oct_pair(result: CategoryResult, lhs: Octonion, rhs: Octonion) -> None:
     if lhs == rhs:
         result.record_exact(True)
     else:
-        abs_r, rel_r = _oct_residuals(lhs.as_complex(), rhs.as_complex())
-        result.record_exact(False, abs_r, rel_r)
+        result.record_exact(False, _oct_residual(lhs.as_complex(), rhs.as_complex()))
 
 
 def _exact_scalar_pair(result: CategoryResult, lhs: Scalar, rhs: Scalar) -> None:
@@ -279,7 +265,7 @@ def _exact_scalar_pair(result: CategoryResult, lhs: Scalar, rhs: Scalar) -> None
         result.record_exact(True)
     else:
         diff = abs(complex(float(lhs)) - complex(float(rhs)))
-        result.record_exact(False, diff, diff / max(1.0, abs(float(rhs))))
+        result.record_exact(False, diff / max(1.0, abs(float(rhs))))
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -316,6 +302,8 @@ def _run_exact(
 ) -> None:
     params = ctx.params
     n_max = config.n_max
+    # direct sums O(0)+...+O(n), shared by the octonion_sum and sum_table checks
+    sums = ctx.oct_prefix_sums(n_max)
 
     res = results["recurrence"]
     for n in range(1, n_max + 1):
@@ -335,10 +323,8 @@ def _run_exact(
         for n in range(n_max + 1):
             _exact_scalar_pair(res, partial_sum_formula(params, n), prefix_sum(params, n))
         res = results["octonion_sum"]
-        running = Octonion.zero(params.variant)
         for n in range(n_max + 1):
-            running = running + ctx.oct_term(n)
-            _exact_oct_pair(res, ctx.sum_octonions(n), running.as_rational())
+            _exact_oct_pair(res, ctx.sum_octonions(n), sums[n])
 
     _run_genfunc_table(preset, ctx, results["genfunc_table"])
 
@@ -347,7 +333,7 @@ def _run_exact(
     for n, coeff in enumerate(gf_expand(build_gf(ctx), count)):
         _exact_oct_pair(res, coeff, ctx.oct_term(n))
 
-    _run_sum_table(preset, ctx, results["sum_table"], config)
+    _run_sum_table(preset, ctx, results["sum_table"], config, sums)
 
     res = results["shift_formula"]
     for m in range(3, config.m_max + 1):
@@ -356,12 +342,7 @@ def _run_exact(
             _exact_oct_pair(res, lhs, rhs)
         if preset is not None:
             pattern = REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m)
-            ours = (
-                ctx.useq(m - 1),
-                params.s * ctx.useq(m - 2) + params.t * ctx.useq(m - 3),
-                params.t * ctx.useq(m - 2),
-            )
-            for tabulated, computed in zip(pattern, ours):
+            for tabulated, computed in zip(pattern, ctx.shift_coefficients(m)):
                 _exact_scalar_pair(res, tabulated, computed)
 
 
@@ -387,6 +368,7 @@ def _run_sum_table(
     ctx: OctSequenceContext,
     res: CategoryResult,
     config: SuiteConfig,
+    sums: list[Octonion],
 ) -> None:
     if preset is None:
         res.skip()
@@ -394,10 +376,8 @@ def _run_sum_table(
     constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
     _exact_oct_pair(res, sum_correction(ctx.params), -constant)
     form = REFERENCE_SUM_FORMS[preset]
-    running = Octonion.zero(ctx.params.variant)
     for n in range(config.n_max + 1):
-        running = running + ctx.oct_term(n)
-        _exact_oct_pair(res, form(ctx, n, constant), running.as_rational())
+        _exact_oct_pair(res, form(ctx, n, constant), sums[n])
 
 
 def _run_numeric(
@@ -418,28 +398,25 @@ def _run_numeric(
         for which, exact in (("v", ctx.seq(n)), ("u", ctx.useq(n))):
             approx = ctx.binet_term(n, which)
             diff = abs(approx - complex(float(exact)))
-            res.record_numeric(diff, diff / max(1.0, abs(float(exact))), tol)
+            res.record_numeric(diff / max(1.0, abs(float(exact))), tol)
 
     res = results["binet_octonion"]
     tol = config.tolerance("binet_octonion")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["binet_octonion"]) + 1):
-        abs_r, rel_r = _oct_residuals(ctx.oct_binet(n), ctx.oct_term(n).as_complex())
-        res.record_numeric(abs_r, rel_r, tol)
+        res.record_numeric(_oct_residual(ctx.oct_binet(n), ctx.oct_term(n).as_complex()), tol)
 
     res = results["norm_formula"]
     tol = config.tolerance("norm_formula")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["norm_formula"]) + 1):
         exact = float(ctx.norm_sq(n))
         diff = abs(ctx.norm_formula_complex(n) - exact)
-        res.record_numeric(diff, diff / max(1.0, exact), tol)
+        res.record_numeric(diff / max(1.0, exact), tol)
 
     res = results["quad_approx"]
     tol = config.tolerance("quad_approx")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["quad_approx"]) + 1):
         for line in ("alpha", "omega1", "omega2"):
-            lhs, rhs = ctx.quad_approx(n, line)
-            max_abs = max(abs(a - b) for a, b in zip(lhs.components, rhs.components))
-            res.record_numeric(max_abs, ctx.quad_residual(n, line), tol)
+            res.record_numeric(ctx.quad_residual(n, line), tol)
 
 
 def _sign_erratum_note(

@@ -1,6 +1,7 @@
 """CLI: formats, parameter sources, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -181,6 +182,55 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[-1] == "3,2"
+
+
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.csv"
+    code, out, err = run_cli(capsys, "seq", "--preset", "tribonacci", "--n", "0..3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("trioct: error: cannot write")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "params, fragment",
+    [
+        (("--r=" + "9" * 400, "--s=1", "--t=1", "--v0=0", "--v1=1", "--v2=1"), "coefficient r"),
+        (("--r=1", "--s=1", "--t=1", "--v0=0", "--v1=1", "--v2=" + "9" * 400), "initial value v2"),
+        (("--r=1", "--s=-" + "9" * 200, "--t=1", "--v0=0", "--v1=1", "--v2=1"), "discriminant"),
+        (("--r=1" + "0" * 113, "--s=1", "--t=1", "--v0=0", "--v1=1", "--v2=1"), "discriminant"),
+        (("--r=1", "--s=1", "--t=1", "--v0=17" + "0" * 307, "--v1=0", "--v2=0"), "weights"),
+    ],
+)
+def test_roots_out_of_float_range(capsys, params, fragment):
+    code, out, err = run_cli(capsys, "roots", *params)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and fragment in err and "out of float range" in err
+    assert "Traceback" not in err
+
+
+def test_negative_rational_separate_argument(capsys):
+    family = ("--r", "1", "--t", "1", "--v0", "0", "--v1", "1", "--v2", "1", "--n", "0..5")
+    _, joined, _ = run_cli(capsys, "seq", "--s=-1/3", *family)
+    code, separate, err = run_cli(capsys, "seq", "--s", "-1/3", *family)
+    assert code == 0 and err == ""
+    assert separate == joined
+    assert separate.splitlines()[4] == "3,2/3"
+
+
+def test_oct_prints_terms_past_the_int_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, "oct", "--preset", "tribonacci", "--n", "16300", "--format", "csv")
+    assert code == 0 and err == ""
+    e0 = out.splitlines()[1].split(",")[1]
+    assert len(e0) > 4300 and e0.isdigit()
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    if 0 < limit < 5000:  # parsing the inputs keeps the interpreter's limit
+        huge = ("--r=1" + "0" * 5000, "--s=1", "--t=1", "--v0=0", "--v1=1", "--v2=1", "--n", "0")
+        code, out, err = run_cli(capsys, "seq", *huge)
+        assert code == 1 and out == "" and "limit" in err and err.count("\n") == 1
 
 
 def test_verify_json(capsys):

@@ -153,6 +153,14 @@ def test_sum_octonions_delta_zero():
     assert ctx.oct_prefix_sum(3) == sum(
         (ctx.oct_term(k) for k in range(4)), Octonion.zero()
     ).as_rational()
+    assert ctx.oct_prefix_sums(3) == [
+        sum((ctx.oct_term(k) for k in range(n + 1)), Octonion.zero()).as_rational()
+        for n in range(4)
+    ]
+    with pytest.raises(ValueError):
+        ctx.oct_prefix_sums(-1)
+    with pytest.raises(ValueError):
+        ctx.oct_term(-1)
 
 
 def test_norm_formula_examples():

@@ -1,6 +1,7 @@
 """Recurrence families, presets, and the scalar identities."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from trioct import (
     seq_term,
     u_term,
 )
+from trioct.sequences import terms
 
 FIRST_TEN = {
     "tribonacci": [0, 1, 1, 2, 4, 7, 13, 24, 44, 81],
@@ -140,6 +142,23 @@ def test_recurrence_consistency(params, n):
         + params.t * seq_term(params, n - 3)
     )
     assert seq_term(params, n) == expected
+
+
+@given(int_params, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_terms_follow_the_recurrence(params, rational):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    p = params
+    v = list(islice(terms(p), 12))
+    u = list(islice(terms(p, companion=True), 12))
+    assert v[:3] == [p.v0, p.v1, p.v2] and u[:3] == [0, 1, p.r]
+    for seq in (v, u):
+        assert {type(x) for x in seq} == {type(p.r)}
+        for n in range(3, 12):
+            assert seq[n] == p.r * seq[n - 1] + p.s * seq[n - 2] + p.t * seq[n - 3]
+    assert v == [seq_term(p, n) for n in range(12)]
+    assert u == [u_term(p, n) for n in range(12)]
 
 
 @given(int_params, st.integers(2, 25))
