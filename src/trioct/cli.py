@@ -52,37 +52,28 @@ def _add_param_source(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", help="explicit parameter (integer or p/q)")
 
 
-def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--format", choices=formats, default=formats[0])
-    parser.add_argument("--out", help="write output to this path instead of stdout")
+# the subcommands that read one parameter set; the tables also take --n and --format
+_FAMILY_COMMANDS = {
+    "seq": "emit scalar sequence terms",
+    "oct": "emit lifted octonion terms",
+    "roots": "print characteristic-cubic root data",
+    "genfunc": "print the generating function",
+    "sum": "emit octonion prefix sums",
+}
+_TABLE_COMMANDS = ("seq", "oct", "sum")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trioct", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("seq", help="emit scalar sequence terms")
-    _add_param_source(p)
-    p.add_argument("--n", required=True, help="index A or inclusive range A..B")
-    _add_output(p, ("csv", "jsonl", "text"))
-
-    p = sub.add_parser("oct", help="emit lifted octonion terms")
-    _add_param_source(p)
-    p.add_argument("--n", required=True, help="index A or inclusive range A..B")
-    _add_output(p, ("csv", "jsonl", "text"))
-
-    p = sub.add_parser("roots", help="print characteristic-cubic root data")
-    _add_param_source(p)
-    p.add_argument("--out", help="write output to this path instead of stdout")
-
-    p = sub.add_parser("genfunc", help="print the generating function")
-    _add_param_source(p)
-    p.add_argument("--out", help="write output to this path instead of stdout")
-
-    p = sub.add_parser("sum", help="emit octonion prefix sums")
-    _add_param_source(p)
-    p.add_argument("--n", required=True, help="index A or inclusive range A..B")
-    _add_output(p, ("csv", "jsonl", "text"))
+    for name, summary in _FAMILY_COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        _add_param_source(p)
+        if name in _TABLE_COMMANDS:
+            p.add_argument("--n", required=True, help="index A or inclusive range A..B")
+            p.add_argument("--format", choices=("csv", "jsonl", "text"), default="csv")
+        p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("verify", help="run the identity-verification suite")
     p.add_argument("--preset", default="all", help="'all' or one preset name")
@@ -105,6 +96,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise CliError(f"malformed range {text!r}; expected A or A..B") from None
     if a < 0 or b < a:
         raise CliError(f"range {text!r} must be nonnegative and nondecreasing")
+    if b > sys.maxsize:
+        raise CliError(f"range {text!r} goes past the largest supported index, {sys.maxsize}")
     return a, b
 
 
@@ -195,37 +188,21 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oct_rows(args: argparse.Namespace, octonions: list) -> str:
+def _cmd_octonions(args: argparse.Namespace) -> int:
+    # oct prints the lifts O(n), sum the direct prefix sums O(0) + ... + O(n)
+    ctx = OctSequenceContext(_resolve_params(args))
+    row = ctx.oct_term if args.command == "oct" else ctx.oct_prefix_sum
+    lo, hi = _parse_range(args.n)
     with _exact_digits():
-        serialized = [(n, o.serialize()) for n, o in octonions]
+        rows = [(n, row(n).serialize()) for n in range(lo, hi + 1)]
     if args.format == "csv":
         header = "n," + ",".join(f"e{l}" for l in range(8)) + "\n"
-        return header + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in serialized)
-    if args.format == "jsonl":
-        return "".join(
-            json.dumps({"n": n, "components": list(comps)}) + "\n" for n, comps in serialized
-        )
-    return "".join(f"{n}: (" + ", ".join(comps) + ")\n" for n, comps in serialized)
-
-
-def _cmd_oct(args: argparse.Namespace) -> int:
-    ctx = OctSequenceContext(_resolve_params(args))
-    lo, hi = _parse_range(args.n)
-    _emit(args, _oct_rows(args, [(n, ctx.oct_term(n)) for n in range(lo, hi + 1)]))
-    return 0
-
-
-def _cmd_sum(args: argparse.Namespace) -> int:
-    ctx = OctSequenceContext(_resolve_params(args))
-    lo, hi = _parse_range(args.n)
-    if ctx.params.delta:
-        rows = [(n, ctx.sum_octonions(n)) for n in range(lo, hi + 1)]
+        text = header + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in rows)
+    elif args.format == "jsonl":
+        text = "".join(json.dumps({"n": n, "components": list(comps)}) + "\n" for n, comps in rows)
     else:
-        # delta == 0: the closed form is undefined but the sum itself is
-        # not; fall back to direct summation
-        sums = ctx.oct_prefix_sums(hi)
-        rows = [(n, sums[n]) for n in range(lo, hi + 1)]
-    _emit(args, _oct_rows(args, rows))
+        text = "".join(f"{n}: (" + ", ".join(comps) + ")\n" for n, comps in rows)
+    _emit(args, text)
     return 0
 
 
@@ -274,10 +251,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "seq": _cmd_seq,
-    "oct": _cmd_oct,
+    "oct": _cmd_octonions,
     "roots": _cmd_roots,
     "genfunc": _cmd_genfunc,
-    "sum": _cmd_sum,
+    "sum": _cmd_octonions,
     "verify": _cmd_verify,
 }
 

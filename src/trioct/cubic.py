@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .scalars import RegimeError
-from .sequences import RecurrenceParams
+from .sequences import RecurrenceParams, _check_index
 
 # relative |vandermonde| floor below which the roots count as repeated
 _SEPARATION_FACTOR = 1e-9
@@ -43,6 +45,21 @@ class CubicRoots:
     weight_omega1: complex
     weight_omega2: complex
 
+    @property
+    def lines(self) -> dict[str, tuple[complex, complex, complex]]:
+        """(x, weight, f'(x)) per root line "alpha", "omega1", "omega2".
+
+        f'(x), the product of x minus each other root, is the Binet
+        denominator of that root.
+        """
+        a = complex(self.alpha)
+        w1, w2 = self.omega1, self.omega2
+        return {
+            "alpha": (a, self.weight_alpha, (a - w1) * (a - w2)),
+            "omega1": (w1, self.weight_omega1, (w1 - a) * (w1 - w2)),
+            "omega2": (w2, self.weight_omega2, (w2 - a) * (w2 - w1)),
+        }
+
 
 def discriminant_exact(params: RecurrenceParams) -> Fraction:
     """The regime discriminant as an exact rational (used for sign tests)."""
@@ -66,11 +83,18 @@ def _real_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _double(name: str, value: int | Fraction) -> float:
+@contextmanager
+def _within_doubles(what: str) -> Iterator[None]:
+    # a double overflowing inside the block is out of the closed forms' regime
     try:
-        return float(value)
+        yield
     except OverflowError:
-        raise RegimeError(f"{name} is {_NEEDS_DOUBLES}") from None
+        raise RegimeError(f"{what} {_NEEDS_DOUBLES}") from None
+
+
+def _double(name: str, value: int | Fraction) -> float:
+    with _within_doubles(f"{name} is"):
+        return float(value)
 
 
 def cubic_roots(params: RecurrenceParams) -> CubicRoots:
@@ -90,7 +114,7 @@ def cubic_roots(params: RecurrenceParams) -> CubicRoots:
     r, s, t = (_double(f"coefficient {k}", getattr(params, k)) for k in "rst")
     v0, v1, v2 = (complex(_double(f"initial value {k}", getattr(params, k))) for k in ("v0", "v1", "v2"))
     sq = math.sqrt(_double("the discriminant", disc))
-    try:
+    with _within_doubles("the roots or their weights are"):
         base = r**3 / 27 + r * s / 6 + t / 2
         big = _real_cbrt(base + sq)
         small = _real_cbrt(base - sq)
@@ -108,8 +132,6 @@ def cubic_roots(params: RecurrenceParams) -> CubicRoots:
         weight_omega2 = v2 - (a + omega1) * v1 + (a * omega1) * v0
         if not all(map(cmath.isfinite, (vandermonde, weight_alpha, weight_omega1, weight_omega2))):
             raise OverflowError
-    except OverflowError:
-        raise RegimeError(f"the roots or their weights are {_NEEDS_DOUBLES}") from None
     if abs(vandermonde) < _SEPARATION_FACTOR * scale:
         raise RegimeError("roots are numerically repeated; closed forms rejected")
 
@@ -125,30 +147,29 @@ def cubic_roots(params: RecurrenceParams) -> CubicRoots:
     )
 
 
+def _binet_parts(roots: CubicRoots, n: int, which: str) -> list[tuple[complex, complex]]:
+    """(x, part) per root: weight*x**n/f'(x) for which="v", x**(n+1)/f'(x) for "u"."""
+    _check_index(n)
+    if which not in ("v", "u"):
+        raise ValueError(f"which must be 'v' or 'u', got {which!r}")
+    with _within_doubles(f"the root powers at n = {n} are"):
+        return [
+            (x, weight * x**n / fprime if which == "v" else x ** (n + 1) / fprime)
+            for x, weight, fprime in roots.lines.values()
+        ]
+
+
 def binet_scalar(roots: CubicRoots, n: int, which: str = "v") -> complex:
     """Closed-form n-th term from root powers.
 
     which="v" uses the family weights stored in `roots`; which="u" is the
     companion family (weights reduce to pure root powers).  The result is
     complex with a tiny imaginary residue; the real part approximates the
-    exact integer/rational term.
+    exact integer/rational term.  RegimeError once a root power leaves
+    double range.
     """
-    if n < 0:
-        raise ValueError("sequence index must be nonnegative")
-    a = complex(roots.alpha)
-    w1, w2 = roots.omega1, roots.omega2
-    den_a = (a - w1) * (a - w2)
-    den_1 = (a - w1) * (w1 - w2)
-    den_2 = (a - w2) * (w1 - w2)
-    if which == "v":
-        return (
-            roots.weight_alpha * a**n / den_a
-            - roots.weight_omega1 * w1**n / den_1
-            + roots.weight_omega2 * w2**n / den_2
-        )
-    if which == "u":
-        return a ** (n + 1) / den_a - w1 ** (n + 1) / den_1 + w2 ** (n + 1) / den_2
-    raise ValueError(f"which must be 'v' or 'u', got {which!r}")
+    (_, a), (_, b), (_, c) = _binet_parts(roots, n, which)
+    return a + b + c
 
 
 def newton_refine_real_root(params: RecurrenceParams, start: float, sweeps: int = 60) -> float:

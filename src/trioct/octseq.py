@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterator
 
-from .cubic import CubicRoots, binet_scalar, cubic_roots
+from .cubic import CubicRoots, _binet_parts, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
-from .scalars import RATIONAL, RegimeError, Scalar, as_complex
-from .sequences import RecurrenceParams, sum_constant, terms
+from .scalars import RATIONAL, RegimeError, Scalar, as_complex, zero
+from .sequences import RecurrenceParams, _check_index, _closed_form_sum, sum_constant, terms
 
 
 def power_octonion(x: complex) -> Octonion:
@@ -42,14 +42,18 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
 
 
 class OctSequenceContext:
-    """Exact term cache plus (lazily) the cubic-root data for one family."""
+    """Exact term and running-sum caches plus (lazily) the sum correction
+    and the cubic-root data for one family."""
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
         self._kind = params.variant
-        # each cache: the terms so far and the generator that continues them
+        # each cache: the values so far and the generator that continues them
         self._v = ([], terms(params))
         self._u = ([], terms(params, companion=True))
+        # _s holds the running sums: _s[k] = term(0) + ... + term(k-1)
+        self._s = ([], accumulate(terms(params), initial=zero(self._kind)))
+        self._correction: Octonion | None = None
         self._roots: CubicRoots | None = None
 
     @property
@@ -61,11 +65,9 @@ class OctSequenceContext:
 
     @staticmethod
     def _extend(source: tuple[list, Iterator], n: int, width: int = 1) -> list[Scalar]:
-        # the cached terms, holding at least term(n) .. term(n + width - 1)
-        if n < 0:
-            raise ValueError("sequence index must be nonnegative")
+        # the cached values, holding at least index n .. n + width - 1
         cache, items = source
-        missing = n + width - len(cache)
+        missing = _check_index(n) + width - len(cache)
         if missing > 0:
             cache.extend(islice(items, missing))
         return cache
@@ -107,13 +109,16 @@ class OctSequenceContext:
 
     def oct_prefix_sums(self, n: int) -> list[Octonion]:
         """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational."""
-        if n < 0:
-            raise ValueError("sequence index must be nonnegative")
-        return [total.as_rational() for total in accumulate(map(self.oct_term, range(n + 1)))]
+        return [self.oct_prefix_sum(k) for k in range(_check_index(n) + 1)]
 
     def oct_prefix_sum(self, n: int) -> Octonion:
-        """Direct summation oracle O(0) + ... + O(n), exact rational."""
-        return self.oct_prefix_sums(n)[-1]
+        """Direct summation oracle O(0) + ... + O(n), exact rational.
+
+        Component l is term(l) + ... + term(n+l), the difference of two
+        cached running sums of the terms.
+        """
+        s = self._extend(self._s, n, 9)
+        return Octonion._raw(tuple(s[n + 1 + l] - s[l] for l in range(8)), self._kind).as_rational()
 
     def sum_octonions(self, n: int) -> Octonion:
         """Closed form for O(0) + ... + O(n), exact rational.
@@ -121,21 +126,10 @@ class OctSequenceContext:
         (O(n+2) + (1-r)*O(n+1) + t*O(n) + sum_correction) / delta; undefined
         when delta == 0.
         """
-        d = self.params.delta
-        if not d:
-            raise RegimeError(
-                "r + s + t - 1 is zero: the octonion prefix-sum formula is "
-                "undefined; use oct_prefix_sum instead"
-            )
-        r = Fraction(self.params.r)
-        t = Fraction(self.params.t)
-        total = (
-            self.oct_term(n + 2).as_rational()
-            + self.oct_term(n + 1).as_rational() * (1 - r)
-            + self.oct_term(n).as_rational() * t
-            + sum_correction(self.params)
-        )
-        return total * (1 / Fraction(d))
+        if self._correction is None:
+            self._correction = sum_correction(self.params)
+        window = (self.oct_term(k).as_rational() for k in (n, n + 1, n + 2))
+        return _closed_form_sum(self.params, window, self._correction)
 
     def shift_formula(self, n: int, m: int) -> tuple[Octonion, Octonion]:
         """Index-shift convolution: O(n+m) from O(n), O(n+1), O(n+2).
@@ -145,8 +139,6 @@ class OctSequenceContext:
         undefined).  Returns (lhs, rhs), equal exactly.
         """
         a, b, c = self.shift_coefficients(m)
-        if n < 0:
-            raise ValueError("sequence index must be nonnegative")
         rhs = self.oct_term(n + 2) * a + self.oct_term(n + 1) * b + self.oct_term(n) * c
         return self.oct_term(n + m), rhs
 
@@ -167,20 +159,14 @@ class OctSequenceContext:
         """Closed form of the lift from root powers, complex variant.
 
         Componentwise it approximates oct_term(n); scalars commute with the
-        basis, so each root contributes weight * power_octonion(root) *
-        root**n over the usual root-difference denominators.
+        basis, so each root x contributes power_octonion(x) times its
+        scalar Binet part (see cubic.binet_scalar).
         """
-        ro = self.roots
-        a = complex(ro.alpha)
-        w1, w2 = ro.omega1, ro.omega2
-        den_a = (a - w1) * (a - w2)
-        den_1 = (a - w1) * (w1 - w2)
-        den_2 = (a - w2) * (w1 - w2)
-        return (
-            power_octonion(a) * (ro.weight_alpha * a**n / den_a)
-            - power_octonion(w1) * (ro.weight_omega1 * w1**n / den_1)
-            + power_octonion(w2) * (ro.weight_omega2 * w2**n / den_2)
-        )
+        (a, p_a), (b, p_b), (c, p_c) = _binet_parts(self.roots, n, "v")
+        # the omega1 line is subtracted with its part negated back: adding
+        # it gives the same values, but a component that cancels to zero
+        # inside the product (x*y - x*y is +0.0) could flip its zero's sign
+        return power_octonion(a) * p_a - power_octonion(b) * -p_b + power_octonion(c) * p_c
 
     def binet_term(self, n: int, which: str = "v") -> complex:
         """Scalar closed form (see cubic.binet_scalar) for this context."""
@@ -206,19 +192,20 @@ class OctSequenceContext:
         def geometric8(x: complex) -> complex:
             return sum(x**l for l in range(8))
 
-        main = (
-            d12**2 * wa**2 * even_powers(a) * a ** (2 * n)
-            + da2**2 * wq**2 * even_powers(w1) * w1 ** (2 * n)
-            + da1**2 * wr**2 * even_powers(w2) * w2 ** (2 * n)
-        )
-        # cross terms carry the signs of the squared three-term expansion:
-        # the alpha/omega2 pair enters positively, so it is subtracted inside
-        # the bracket below (the whole bracket is then subtracted twice)
-        cross = (
-            d12 * da2 * wa * wq * geometric8(a * w1) * (a * w1) ** n
-            - d12 * da1 * wa * wr * geometric8(a * w2) * (a * w2) ** n
-            + da1 * da2 * wq * wr * geometric8(w1 * w2) * (w1 * w2) ** n
-        )
+        with _within_doubles(f"the root powers at n = {n} are"):
+            main = (
+                d12**2 * wa**2 * even_powers(a) * a ** (2 * n)
+                + da2**2 * wq**2 * even_powers(w1) * w1 ** (2 * n)
+                + da1**2 * wr**2 * even_powers(w2) * w2 ** (2 * n)
+            )
+            # cross terms carry the signs of the squared three-term expansion:
+            # the alpha/omega2 pair enters positively, so it is subtracted inside
+            # the bracket below (the whole bracket is then subtracted twice)
+            cross = (
+                d12 * da2 * wa * wq * geometric8(a * w1) * (a * w1) ** n
+                - d12 * da1 * wa * wr * geometric8(a * w2) * (a * w2) ** n
+                + da1 * da2 * wq * wr * geometric8(w1 * w2) * (w1 * w2) ** n
+            )
         return (main - 2 * cross) / ro.vandermonde**2
 
     def norm_formula(self, n: int) -> float:
@@ -226,24 +213,20 @@ class OctSequenceContext:
         return self.norm_formula_complex(n).real
 
     def _quad_parts(self, n: int, which_root: str) -> tuple[Octonion, tuple[Octonion, Octonion, Octonion]]:
-        ro = self.roots
-        lines = {
-            "alpha": (ro.weight_alpha, complex(ro.alpha)),
-            "omega1": (ro.weight_omega1, ro.omega1),
-            "omega2": (ro.weight_omega2, ro.omega2),
-        }
+        lines = self.roots.lines
         try:
-            weight, x = lines[which_root]
+            x, weight, _ = lines[which_root]
         except KeyError:
             raise ValueError(
                 f"which_root must be one of {tuple(lines)}, got {which_root!r}"
             ) from None
         s = as_complex(self.params.s)
         t = as_complex(self.params.t)
-        lhs = power_octonion(x) * (weight * x ** (n + 2))
-        o_n = self.oct_term(n).as_complex()
-        o_n1 = self.oct_term(n + 1).as_complex()
-        o_n2 = self.oct_term(n + 2).as_complex()
+        with _within_doubles(f"the root powers or terms at n = {n} are"):
+            lhs = power_octonion(x) * (weight * x ** (n + 2))
+            o_n = self.oct_term(n).as_complex()
+            o_n1 = self.oct_term(n + 1).as_complex()
+            o_n2 = self.oct_term(n + 2).as_complex()
         return lhs, (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
 
     def quad_approx(self, n: int, which_root: str) -> tuple[Octonion, Octonion]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .scalars import (
     EXACT_VARIANTS,
@@ -76,9 +76,11 @@ def preset_lookup(name: str) -> RecurrenceParams:
         raise ValueError(f"unknown preset {name!r}; expected one of: {known}") from None
 
 
-def _check_index(n: int) -> None:
+def _check_index(n: int) -> int:
+    """Return n if it is a valid sequence index, else raise ValueError."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"sequence index must be a nonnegative integer, got {n!r}")
+    return n
 
 
 def terms(params: RecurrenceParams, companion: bool = False) -> Iterator[Scalar]:
@@ -158,12 +160,23 @@ def partial_sum_formula_uncorrected(params: RecurrenceParams, n: int) -> Fractio
 
 def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction:
     _check_index(n)
+    return _closed_form_sum(params, islice(terms(params), n, n + 3), constant)
+
+
+def _closed_form_sum(params: RecurrenceParams, window: Iterable, constant):
+    """(x(n+2) + (1-r)*x(n+1) + t*x(n) + constant) / delta, window = x(n), x(n+1), x(n+2).
+
+    The telescoped prefix sum x(0) + ... + x(n).  Scalar terms with
+    sum_constant give the scalar sum; the octonion lifts, as exact
+    rationals, with octseq.sum_correction give the lifted one.
+    RegimeError when delta == 0.
+    """
     d = params.delta
     if not d:
         raise RegimeError(
             "r + s + t - 1 is zero: the closed-form prefix sum is undefined; "
-            "use prefix_sum instead"
+            "sum the terms directly (prefix_sum, oct_prefix_sum)"
         )
-    t_n, t_n1, t_n2 = islice(terms(params), n, n + 3)
-    total = t_n2 + (1 - params.r) * t_n1 + params.t * t_n + constant
-    return Fraction(total) / Fraction(d)
+    x_n, x_n1, x_n2 = window
+    total = x_n2 + (1 - Fraction(params.r)) * x_n1 + Fraction(params.t) * x_n + constant
+    return total * (1 / Fraction(d))

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 from .genfunc import build_gf, gf_expand, gf_numerator
 from .octonion import Octonion
 from .octseq import OctSequenceContext, sum_correction
-from .scalars import RegimeError, Scalar
+from .scalars import RegimeError, Scalar, as_complex
 from .sequences import (
     PRESET_NAMES,
     RecurrenceParams,
@@ -245,27 +245,22 @@ def make_random_params(rng: random.Random) -> RecurrenceParams:
     )
 
 
-def _oct_residual(approx: Octonion, exact: Octonion) -> float:
-    """Componentwise max scaled residual against the exact value."""
-    worst = 0.0
-    for a, e in zip(approx.components, exact.components):
-        worst = max(worst, abs(complex(a) - complex(e)) / max(1.0, abs(complex(e))))
-    return worst
+def _rel_residual(approx: Scalar | Octonion, exact: Scalar | Octonion) -> float:
+    """|c(approx) - c(exact)| / max(1, |c(exact)|) with c = as_complex.
+
+    Octonions take the worst of their eight components.
+    """
+    if isinstance(exact, Octonion):
+        return max(0.0, *map(_rel_residual, approx.components, exact.components))
+    e = as_complex(exact)
+    return abs(as_complex(approx) - e) / max(1.0, abs(e))
 
 
-def _exact_oct_pair(result: CategoryResult, lhs: Octonion, rhs: Octonion) -> None:
+def _exact_pair(result: CategoryResult, lhs: Scalar | Octonion, rhs: Scalar | Octonion) -> None:
     if lhs == rhs:
         result.record_exact(True)
     else:
-        result.record_exact(False, _oct_residual(lhs.as_complex(), rhs.as_complex()))
-
-
-def _exact_scalar_pair(result: CategoryResult, lhs: Scalar, rhs: Scalar) -> None:
-    if lhs == rhs:
-        result.record_exact(True)
-    else:
-        diff = abs(complex(float(lhs)) - complex(float(rhs)))
-        result.record_exact(False, diff / max(1.0, abs(float(rhs))))
+        result.record_exact(False, _rel_residual(lhs, rhs))
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -308,12 +303,12 @@ def _run_exact(
     res = results["recurrence"]
     for n in range(1, n_max + 1):
         lhs, rhs = ctx.recurrence_check(n)
-        _exact_oct_pair(res, lhs, rhs)
+        _exact_pair(res, lhs, rhs)
 
     res = results["companion_identity"]
     for n in range(2, n_max + 1):
         lhs, rhs = companion_identity(params, n)
-        _exact_scalar_pair(res, lhs, rhs)
+        _exact_pair(res, lhs, rhs)
 
     if params.delta == 0:
         results["scalar_sum"].skip()
@@ -321,17 +316,17 @@ def _run_exact(
     else:
         res = results["scalar_sum"]
         for n in range(n_max + 1):
-            _exact_scalar_pair(res, partial_sum_formula(params, n), prefix_sum(params, n))
+            _exact_pair(res, partial_sum_formula(params, n), prefix_sum(params, n))
         res = results["octonion_sum"]
         for n in range(n_max + 1):
-            _exact_oct_pair(res, ctx.sum_octonions(n), sums[n])
+            _exact_pair(res, ctx.sum_octonions(n), sums[n])
 
     _run_genfunc_table(preset, ctx, results["genfunc_table"])
 
     res = results["genfunc_roundtrip"]
     count = min(n_max + 1, 50)
     for n, coeff in enumerate(gf_expand(build_gf(ctx), count)):
-        _exact_oct_pair(res, coeff, ctx.oct_term(n))
+        _exact_pair(res, coeff, ctx.oct_term(n))
 
     _run_sum_table(preset, ctx, results["sum_table"], config, sums)
 
@@ -339,11 +334,11 @@ def _run_exact(
     for m in range(3, config.m_max + 1):
         for n in range(min(n_max, 50) + 1):
             lhs, rhs = ctx.shift_formula(n, m)
-            _exact_oct_pair(res, lhs, rhs)
+            _exact_pair(res, lhs, rhs)
         if preset is not None:
             pattern = REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m)
             for tabulated, computed in zip(pattern, ctx.shift_coefficients(m)):
-                _exact_scalar_pair(res, tabulated, computed)
+                _exact_pair(res, tabulated, computed)
 
 
 def _run_genfunc_table(preset: str | None, ctx: OctSequenceContext, res: CategoryResult) -> None:
@@ -374,10 +369,10 @@ def _run_sum_table(
         res.skip()
         return
     constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
-    _exact_oct_pair(res, sum_correction(ctx.params), -constant)
+    _exact_pair(res, sum_correction(ctx.params), -constant)
     form = REFERENCE_SUM_FORMS[preset]
     for n in range(config.n_max + 1):
-        _exact_oct_pair(res, form(ctx, n, constant), sums[n])
+        _exact_pair(res, form(ctx, n, constant), sums[n])
 
 
 def _run_numeric(
@@ -396,21 +391,17 @@ def _run_numeric(
     tol = config.tolerance("binet_scalar")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["binet_scalar"]) + 1):
         for which, exact in (("v", ctx.seq(n)), ("u", ctx.useq(n))):
-            approx = ctx.binet_term(n, which)
-            diff = abs(approx - complex(float(exact)))
-            res.record_numeric(diff / max(1.0, abs(float(exact))), tol)
+            res.record_numeric(_rel_residual(ctx.binet_term(n, which), exact), tol)
 
     res = results["binet_octonion"]
     tol = config.tolerance("binet_octonion")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["binet_octonion"]) + 1):
-        res.record_numeric(_oct_residual(ctx.oct_binet(n), ctx.oct_term(n).as_complex()), tol)
+        res.record_numeric(_rel_residual(ctx.oct_binet(n), ctx.oct_term(n)), tol)
 
     res = results["norm_formula"]
     tol = config.tolerance("norm_formula")
     for n in range(min(config.n_max, NUMERIC_WINDOWS["norm_formula"]) + 1):
-        exact = float(ctx.norm_sq(n))
-        diff = abs(ctx.norm_formula_complex(n) - exact)
-        res.record_numeric(diff / max(1.0, exact), tol)
+        res.record_numeric(_rel_residual(ctx.norm_formula_complex(n), ctx.norm_sq(n)), tol)
 
     res = results["quad_approx"]
     tol = config.tolerance("quad_approx")

@@ -2,9 +2,11 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+from trioct import PRESET_NAMES, OctSequenceContext, RecurrenceParams, preset_lookup
 from trioct.cli import main
 
 
@@ -69,6 +71,34 @@ def test_sum_delta_zero_falls_back_to_direct(capsys):
     # terms run 0,1,1,2,2,3,3,4,...; the n=0 row is the first lift itself
     lines = out.splitlines()
     assert lines[1] == "0,0,1,1,2,2,3,3,4"
+
+
+@pytest.mark.parametrize(
+    "source, params",
+    [(("--preset", name), preset_lookup(name)) for name in PRESET_NAMES]
+    + [
+        (
+            ("--r=1/2", "--s=2/3", "--t=1/6", "--v0=1/3", "--v1=-2", "--v2=5/7"),
+            RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))),
+        )
+    ],
+)
+def test_sum_rows_match_the_closed_form(capsys, source, params):
+    ctx = OctSequenceContext(params)
+    for text, indices in (("0..60", range(61)), ("17..23", range(17, 24)), ("45", [45])):
+        code, out, err = run_cli(capsys, "sum", *source, "--n", text, "--format", "csv")
+        assert code == 0 and err == ""
+        expected = [f"{n}," + ",".join(ctx.sum_octonions(n).serialize()) for n in indices]
+        assert out.splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("command", ["seq", "oct", "sum"])
+@pytest.mark.parametrize("text", [str(10**20), f"0..{10**20}"])
+def test_index_past_maxsize_is_a_usage_error(capsys, command, text):
+    code, out, err = run_cli(capsys, command, "--preset", "tribonacci", "--n", text)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and str(sys.maxsize) in err
+    assert "islice" not in err
 
 
 def test_roots_labels(capsys):

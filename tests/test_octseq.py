@@ -163,6 +163,33 @@ def test_sum_octonions_delta_zero():
         ctx.oct_term(-1)
 
 
+def test_sum_correction_built_once_per_context(monkeypatch):
+    import trioct.octseq as octseq
+
+    calls = []
+    original = octseq.sum_correction
+    monkeypatch.setattr(octseq, "sum_correction", lambda params: calls.append(params) or original(params))
+    ctx = ctx_for("tribonacci")
+    for n in range(41):
+        assert ctx.sum_octonions(n) == ctx.oct_prefix_sum(n)
+    assert len(calls) == 1
+
+
+def test_root_forms_past_double_range_raise_regime_error():
+    ctx = ctx_for("tribonacci")
+    forms = [
+        ctx.oct_binet,
+        lambda n: ctx.binet_term(n, "v"),
+        lambda n: ctx.binet_term(n, "u"),
+        ctx.norm_formula,
+        *(lambda n, line=line: ctx.quad_residual(n, line) for line in ("alpha", "omega1", "omega2")),
+    ]
+    for form in forms:
+        form(40)
+        with pytest.raises(RegimeError, match="out of float range"):
+            form(2000)
+
+
 def test_norm_formula_examples():
     ctx = ctx_for("tribonacci")
     assert ctx.norm_formula(0) == pytest.approx(816, rel=1e-9)
