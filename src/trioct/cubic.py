@@ -92,6 +92,13 @@ def _within_doubles(what: str) -> Iterator[None]:
         raise RegimeError(f"{what} {_NEEDS_DOUBLES}") from None
 
 
+def _finite(value, n: int):
+    # complex products and sums overflow to inf or nan without raising
+    if not all(map(cmath.isfinite, getattr(value, "components", (value,)))):
+        raise RegimeError(f"the root powers at n = {n} are {_NEEDS_DOUBLES}")
+    return value
+
+
 def _double(name: str, value: int | Fraction) -> float:
     with _within_doubles(f"{name} is"):
         return float(value)
@@ -165,11 +172,11 @@ def binet_scalar(roots: CubicRoots, n: int, which: str = "v") -> complex:
     which="v" uses the family weights stored in `roots`; which="u" is the
     companion family (weights reduce to pure root powers).  The result is
     complex with a tiny imaginary residue; the real part approximates the
-    exact integer/rational term.  RegimeError once a root power leaves
-    double range.
+    exact integer/rational term.  RegimeError once a root power or the
+    result leaves double range.
     """
     (_, a), (_, b), (_, c) = _binet_parts(roots, n, which)
-    return a + b + c
+    return _finite(a + b + c, n)
 
 
 def newton_refine_real_root(params: RecurrenceParams, start: float, sweeps: int = 60) -> float:

@@ -58,9 +58,8 @@ class RationalGF:
 
 def gf_numerator(ctx: OctSequenceContext) -> OctPolynomial:
     """Numerator [O(0), O(1) - r*O(0), O(2) - r*O(1) - s*O(0)], exact."""
-    p = ctx.params
-    o0, o1, o2 = ctx.oct_term(0), ctx.oct_term(1), ctx.oct_term(2)
-    return OctPolynomial((o0, o1 - o0 * p.r, o2 - o1 * p.r - o0 * p.s))
+    r, s = ctx.params.r, ctx.params.s
+    return OctPolynomial((ctx.oct_term(0), ctx._combine(0, 0, 1, -r), ctx._combine(0, 1, -r, -s)))
 
 
 def build_gf(ctx: OctSequenceContext) -> RationalGF:

@@ -17,10 +17,11 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterator
 
-from .cubic import CubicRoots, _binet_parts, _within_doubles, binet_scalar, cubic_roots
+from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
 from .scalars import RATIONAL, RegimeError, Scalar, as_complex, zero
-from .sequences import RecurrenceParams, _check_index, _closed_form_sum, sum_constant, terms
+from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights
+from .sequences import sum_constant, terms
 
 
 def power_octonion(x: complex) -> Octonion:
@@ -95,17 +96,17 @@ class OctSequenceContext:
         """Euclidean norm of the lift as a double."""
         return math.sqrt(float(self.norm_sq(n)))
 
+    def _combine(self, n: int, a: Scalar, b: Scalar, c: Scalar) -> Octonion:
+        """a*O(n+2) + b*O(n+1) + c*O(n), exact; a, b, c share the family's variant."""
+        x = self._extend(self._v, n, 10)
+        comps = tuple(a * x[k + 2] + b * x[k + 1] + c * x[k] for k in range(n, n + 8))
+        return Octonion._raw(comps, self._kind)
+
     def recurrence_check(self, n: int) -> tuple[Octonion, Octonion]:
         """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly."""
         if n < 1:
             raise ValueError("the lifted recurrence is stated for n >= 1")
-        p = self.params
-        lhs = (
-            self.oct_term(n + 1) * p.r
-            + self.oct_term(n) * p.s
-            + self.oct_term(n - 1) * p.t
-        )
-        return lhs, self.oct_term(n + 2)
+        return self._combine(n - 1, self.params.r, self.params.s, self.params.t), self.oct_term(n + 2)
 
     def oct_prefix_sums(self, n: int) -> list[Octonion]:
         """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational."""
@@ -128,8 +129,9 @@ class OctSequenceContext:
         """
         if self._correction is None:
             self._correction = sum_correction(self.params)
-        window = (self.oct_term(k).as_rational() for k in (n, n + 1, n + 2))
-        return _closed_form_sum(self.params, window, self._correction)
+        return _closed_form_sum(
+            self.params, lambda a, b, c: self._combine(n, a, b, c).as_rational(), self._correction
+        )
 
     def shift_formula(self, n: int, m: int) -> tuple[Octonion, Octonion]:
         """Index-shift convolution: O(n+m) from O(n), O(n+1), O(n+2).
@@ -138,9 +140,8 @@ class OctSequenceContext:
         with U the companion family; needs m >= 3 (U at negative indices is
         undefined).  Returns (lhs, rhs), equal exactly.
         """
-        a, b, c = self.shift_coefficients(m)
-        rhs = self.oct_term(n + 2) * a + self.oct_term(n + 1) * b + self.oct_term(n) * c
-        return self.oct_term(n + m), rhs
+        weights = self.shift_coefficients(m)
+        return self.oct_term(n + m), self._combine(n, *weights)
 
     def shift_coefficients(self, m: int) -> tuple[Scalar, Scalar, Scalar]:
         """The weights of O(n+2), O(n+1), O(n) in O(n+m), for any n.
@@ -149,9 +150,7 @@ class OctSequenceContext:
         """
         if m < 3:
             raise RegimeError("the shift convolution is stated for m >= 3")
-        p = self.params
-        u1, u2, u3 = self.useq(m - 1), self.useq(m - 2), self.useq(m - 3)
-        return u1, p.s * u2 + p.t * u3, p.t * u2
+        return _expansion_weights(self.params, *self._extend(self._u, m - 3, 3)[m - 3 : m])
 
     # -- root-based closed forms (floating point) ---------------------------
 
@@ -166,7 +165,7 @@ class OctSequenceContext:
         # the omega1 line is subtracted with its part negated back: adding
         # it gives the same values, but a component that cancels to zero
         # inside the product (x*y - x*y is +0.0) could flip its zero's sign
-        return power_octonion(a) * p_a - power_octonion(b) * -p_b + power_octonion(c) * p_c
+        return _finite(power_octonion(a) * p_a - power_octonion(b) * -p_b + power_octonion(c) * p_c, n)
 
     def binet_term(self, n: int, which: str = "v") -> complex:
         """Scalar closed form (see cubic.binet_scalar) for this context."""
@@ -179,12 +178,8 @@ class OctSequenceContext:
         evaluation leaked; norm_formula() returns the real part.
         """
         ro = self.roots
-        a = complex(ro.alpha)
-        w1, w2 = ro.omega1, ro.omega2
-        wa, wq, wr = ro.weight_alpha, ro.weight_omega1, ro.weight_omega2
-        d12 = w1 - w2
-        da1 = a - w1
-        da2 = a - w2
+        (a, wa, _), (w1, wq, _), (w2, wr, _) = ro.lines.values()
+        d12, da1, da2 = w1 - w2, a - w1, a - w2
 
         def even_powers(x: complex) -> complex:
             return sum(x ** (2 * l) for l in range(8))
@@ -206,28 +201,23 @@ class OctSequenceContext:
                 - d12 * da1 * wa * wr * geometric8(a * w2) * (a * w2) ** n
                 + da1 * da2 * wq * wr * geometric8(w1 * w2) * (w1 * w2) ** n
             )
-        return (main - 2 * cross) / ro.vandermonde**2
+            return _finite((main - 2 * cross) / ro.vandermonde**2, n)
 
     def norm_formula(self, n: int) -> float:
         """Closed form of the squared norm as a double."""
         return self.norm_formula_complex(n).real
 
-    def _quad_parts(self, n: int, which_root: str) -> tuple[Octonion, tuple[Octonion, Octonion, Octonion]]:
+    def _quad_parts(self, n: int, which_root: str) -> tuple[Octonion, Octonion, tuple[Octonion, ...]]:
         lines = self.roots.lines
-        try:
-            x, weight, _ = lines[which_root]
-        except KeyError:
-            raise ValueError(
-                f"which_root must be one of {tuple(lines)}, got {which_root!r}"
-            ) from None
-        s = as_complex(self.params.s)
-        t = as_complex(self.params.t)
+        if which_root not in lines:
+            raise ValueError(f"which_root must be one of {tuple(lines)}, got {which_root!r}")
+        x, weight, _ = lines[which_root]
+        s, t = as_complex(self.params.s), as_complex(self.params.t)
         with _within_doubles(f"the root powers or terms at n = {n} are"):
             lhs = power_octonion(x) * (weight * x ** (n + 2))
-            o_n = self.oct_term(n).as_complex()
-            o_n1 = self.oct_term(n + 1).as_complex()
-            o_n2 = self.oct_term(n + 2).as_complex()
-        return lhs, (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
+            o_n, o_n1, o_n2 = (self.oct_term(k).as_complex() for k in (n, n + 1, n + 2))
+            parts = (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
+            return _finite(lhs, n), _finite(parts[0] + parts[1] + parts[2], n), parts
 
     def quad_approx(self, n: int, which_root: str) -> tuple[Octonion, Octonion]:
         """Quadratic three-term approximation attached to one root.
@@ -236,8 +226,7 @@ class OctSequenceContext:
         x*(s*O(n+1) + t*O(n)) + t*O(n+1) with the exact terms promoted to
         complex.  Returns (lhs, rhs); they agree to rounding error.
         """
-        lhs, (t1, t2, t3) = self._quad_parts(n, which_root)
-        return lhs, t1 + t2 + t3
+        return self._quad_parts(n, which_root)[:2]
 
     def quad_residual(self, n: int, which_root: str) -> float:
         """Worst componentwise residual of the quadratic identity.
@@ -248,9 +237,9 @@ class OctSequenceContext:
         addend entering it, the natural scale for a cancellation check.
         With exactly represented roots the residual would be zero.
         """
-        lhs, (t1, t2, t3) = self._quad_parts(n, which_root)
+        lhs, rhs, parts = self._quad_parts(n, which_root)
         worst = 0.0
-        for a, b1, b2, b3 in zip(lhs.components, t1.components, t2.components, t3.components):
-            scale = max(1.0, abs(a), abs(b1), abs(b2), abs(b3))
-            worst = max(worst, abs(a - (b1 + b2 + b3)) / scale)
-        return worst
+        with _within_doubles(f"the root powers or terms at n = {n} are"):
+            for a, b, *addends in zip(lhs, rhs, *parts):
+                worst = max(worst, abs(a - b) / max(1.0, abs(a), *map(abs, addends)))
+            return _finite(worst, n)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Callable, Iterator
 
 from .scalars import (
     EXACT_VARIANTS,
@@ -119,9 +120,13 @@ def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar
     """
     if n < 2:
         raise ValueError("the companion expansion needs n >= 2")
-    _, s, t, v0, v1, v2 = params.fields()
-    u_n2, u_n1, u_n = islice(terms(params, companion=True), n - 2, n + 1)
-    return seq_term(params, n + 1), v2 * u_n + (s * v1 + t * v0) * u_n1 + t * v1 * u_n2
+    a, b, c = _expansion_weights(params, *islice(terms(params, companion=True), n - 2, n + 1))
+    return seq_term(params, n + 1), a * params.v2 + b * params.v1 + c * params.v0
+
+
+def _expansion_weights(params: RecurrenceParams, u3, u2, u1) -> tuple[Scalar, Scalar, Scalar]:
+    """(U(m-1), s*U(m-2) + t*U(m-3), t*U(m-2)): the weights of x(n+2), x(n+1), x(n) in x(n+m)."""
+    return u1, params.s * u2 + params.t * u3, params.t * u2
 
 
 def prefix_sum(params: RecurrenceParams, n: int) -> Scalar:
@@ -159,17 +164,17 @@ def partial_sum_formula_uncorrected(params: RecurrenceParams, n: int) -> Fractio
 
 
 def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction:
-    _check_index(n)
-    return _closed_form_sum(params, islice(terms(params), n, n + 3), constant)
+    window = islice(terms(params), _check_index(n), n + 3)  # read only when delta != 0
+    return _closed_form_sum(params, lambda a, b, c: sum(map(mul, (c, b, a), window)), constant)
 
 
-def _closed_form_sum(params: RecurrenceParams, window: Iterable, constant):
-    """(x(n+2) + (1-r)*x(n+1) + t*x(n) + constant) / delta, window = x(n), x(n+1), x(n+2).
+def _closed_form_sum(params: RecurrenceParams, combine: Callable, constant):
+    """(x(n+2) + (1-r)*x(n+1) + t*x(n) + constant) / delta, the prefix sum x(0) + ... + x(n).
 
-    The telescoped prefix sum x(0) + ... + x(n).  Scalar terms with
-    sum_constant give the scalar sum; the octonion lifts, as exact
-    rationals, with octseq.sum_correction give the lifted one.
-    RegimeError when delta == 0.
+    combine(a, b, c) gives a*x(n+2) + b*x(n+1) + c*x(n): of the scalar terms,
+    with sum_constant, for the scalar sum; of the octonion lifts, as exact
+    rationals, with octseq.sum_correction for the lifted one.  RegimeError
+    when delta == 0, before combine is called.
     """
     d = params.delta
     if not d:
@@ -177,6 +182,4 @@ def _closed_form_sum(params: RecurrenceParams, window: Iterable, constant):
             "r + s + t - 1 is zero: the closed-form prefix sum is undefined; "
             "sum the terms directly (prefix_sum, oct_prefix_sum)"
         )
-    x_n, x_n1, x_n2 = window
-    total = x_n2 + (1 - Fraction(params.r)) * x_n1 + Fraction(params.t) * x_n + constant
-    return total * (1 / Fraction(d))
+    return (combine(1, 1 - params.r, params.t) + constant) * (1 / Fraction(d))

@@ -1,10 +1,14 @@
 """CLI: formats, parameter sources, exit codes, determinism."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trioct import PRESET_NAMES, OctSequenceContext, RecurrenceParams, preset_lookup
 from trioct.cli import main
@@ -294,3 +298,83 @@ def test_verify_bad_config(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# bounded argv for every command: small indices, suites and coefficients,
+# so that no drawn invocation starts a long walk; about one value in
+# twenty is junk
+_JUNK = ("1/0", "x", "5..3", "", "-", "1.5", "..", "3..", "1/-2", "0x10", "--bogus")
+
+
+def _or_junk(valid):
+    return st.integers(0, 19).flatmap(lambda k: st.sampled_from(_JUNK) if k == 0 else valid)
+
+
+_value = _or_junk(
+    st.one_of(
+        st.integers(-6, 6).map(str),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 6)),
+    )
+)
+_index = _or_junk(
+    st.one_of(
+        st.integers(0, 200).map(str),
+        st.builds(lambda a, d: f"{a}..{min(a + d, 200)}", st.integers(0, 200), st.integers(-3, 60)),
+    )
+)
+_preset = _or_junk(st.sampled_from(PRESET_NAMES + ("third-order-jacobsthal", "all")))
+_small = _or_junk(st.integers(-1, 12).map(str))
+
+
+@st.composite
+def _family(draw):
+    source = draw(st.sampled_from(("preset", "explicit", "explicit", "both", "none")))
+    args = []
+    if source in ("preset", "both"):
+        args += ["--preset", draw(_preset)]
+    if source in ("explicit", "both"):
+        for key in ("r", "s", "t", "v0", "v1", "v2"):
+            if draw(st.integers(0, 19)):  # now and then a key is left out
+                args.append(f"--{key}={draw(_value)}")
+    return args
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("seq", "oct", "sum", "roots", "genfunc", "verify")))
+    args = [command]
+    if command == "verify":
+        for flag, values in (
+            ("--preset", _preset),
+            ("--n-max", _small),
+            ("--m-max", _small),
+            ("--random-sets", _or_junk(st.integers(-1, 3).map(str))),
+            ("--seed", _or_junk(st.integers(-5, 5).map(str))),
+            ("--report", _or_junk(st.sampled_from(("json", "text")))),
+        ):
+            if draw(st.booleans()):
+                args += [flag, draw(values)]
+        if "--n-max" not in args:  # the default grid is larger than the bound
+            args += ["--n-max", "12"]
+    else:
+        args += draw(_family())
+        if command in ("seq", "oct", "sum"):
+            if draw(st.integers(0, 19)):
+                args += ["--n", draw(_index)]
+            if draw(st.booleans()):
+                args += ["--format", draw(_or_junk(st.sampled_from(("csv", "jsonl", "text"))))]
+    if not draw(st.integers(0, 19)):
+        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(("--help", "--bogus"))))
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_main_never_raises_on_bounded_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("trioct: error: ")

@@ -1,5 +1,6 @@
 """Octonion lifts: recurrence, closed forms, sums, shifts, norms."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,47 @@ def test_root_forms_past_double_range_raise_regime_error():
         form(40)
         with pytest.raises(RegimeError, match="out of float range"):
             form(2000)
+
+
+def _all_finite(value):
+    if isinstance(value, (complex, float)):
+        return cmath.isfinite(value)
+    return all(map(_all_finite, value))
+
+
+def test_root_forms_near_double_limit_are_finite_or_raise():
+    # just below the index where a root power overflows, complex products
+    # overflow to inf or nan without raising; tribonacci crosses at about
+    # n = 1155 (quadratic), 1160 (octonion Binet), 1164 (Binet) and 574 (norm)
+    ctx = ctx_for("tribonacci")
+    lines = ("alpha", "omega1", "omega2")
+    forms = [
+        (range(1100, 1171), ctx.oct_binet),
+        (range(1100, 1171), lambda n: ctx.binet_term(n, "v")),
+        (range(1100, 1171), lambda n: ctx.binet_term(n, "u")),
+        (range(560, 591), ctx.norm_formula_complex),
+        (range(560, 591), ctx.norm_formula),
+        *((range(1100, 1171), lambda n, line=line: ctx.quad_approx(n, line)) for line in lines),
+        *((range(1100, 1171), lambda n, line=line: ctx.quad_residual(n, line)) for line in lines),
+    ]
+    raised = 0
+    for indices, form in forms:
+        for n in indices:
+            try:
+                value = form(n)
+            except RegimeError:
+                raised += 1
+                continue
+            assert _all_finite(value), (form, n, value)
+    assert raised > 0
+    # the residual fails where the identity does, instead of dropping a nan
+    for line in lines:
+        for n in range(1100, 1171):
+            try:
+                ctx.quad_approx(n, line)
+            except RegimeError:
+                with pytest.raises(RegimeError):
+                    ctx.quad_residual(n, line)
 
 
 def test_norm_formula_examples():

@@ -136,3 +136,68 @@ def test_text_report_mentions_result():
     text = report.to_text()
     assert "result: PASS" in text
     assert "seed: 0" in text
+
+
+# (run, failed, skipped) per category, in CATEGORIES order
+_DEFAULT_COUNTS = (
+    (160, 0, 0), (156, 0, 0), (164, 0, 0), (164, 0, 0), (32, 0, 0), (164, 0, 0),
+    (168, 0, 0), (3168, 0, 0), (328, 0, 0), (164, 0, 0), (104, 0, 0), (372, 0, 0),
+)
+_GENFUNC_ERRATUM = (
+    "generating-function table: third_order_jacobsthal slot e2 is tabulated as "
+    "1 + x + x^2 but computes to 1 + x + 2x^2; the computed coefficients are authoritative"
+)
+
+
+def _sign_erratum(bad, total):
+    return (
+        f"summation-constant sign: the (r-s-1)*v0 variant fails on {bad} of {total} "
+        "delta!=0 parameter sets (witness r=1 s=1 t=1 v0=1 v1=0 v2=0, n=0); "
+        "the verified (r+s-1)*v0 form is used throughout"
+    )
+
+
+_PINNED = {
+    "default": (
+        SuiteConfig(),
+        _DEFAULT_COUNTS,
+        {},
+        (1, 5),
+    ),
+    "random": (
+        SuiteConfig(random_sets=30, seed=4),
+        (
+            (1360, 0, 0), (1326, 0, 0), (1312, 0, 2), (1312, 0, 2), (32, 0, 30), (1394, 0, 0),
+            (168, 0, 30), (25308, 0, 0), (328, 0, 30), (164, 0, 30), (104, 0, 30), (372, 0, 30),
+        ),
+        {},
+        (23, 33),
+    ),
+    "tampered": (
+        SuiteConfig(
+            sum_constants_override={
+                "tribonacci": (1, 1, 3, 5, 9, 17, 31, 58),
+                "padovan": (1, 1, 2, 2, 3, 4, 5, 8),
+            },
+            tolerances={name: 1e-18 for name in NUMERIC_CATEGORIES},
+        ),
+        _DEFAULT_COUNTS[:6]
+        + ((168, 84, 0), (3168, 0, 0), (328, 308, 0), (164, 164, 0), (104, 104, 0), (372, 372, 0)),
+        {"sum_table": 0.5},
+        (1, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_report_is_pinned(name):
+    # a change to how the identities are computed must leave the counts, the
+    # exact residuals and the errata as they are; the numeric categories'
+    # float residuals are left out so that the pin does not depend on libm
+    config, counts, residuals, (bad, total) = _PINNED[name]
+    report = run_suite(config)
+    got = tuple((c.run, c.failed, c.skipped) for c in report.categories.values())
+    assert dict(zip(CATEGORIES, got)) == dict(zip(CATEGORIES, counts))
+    for category in EXACT_CATEGORIES:
+        assert report.categories[category].max_rel_residual == residuals.get(category, 0.0)
+    assert report.errata == [_sign_erratum(bad, total), _GENFUNC_ERRATUM]
