@@ -29,7 +29,6 @@ from .cubic import (
     CubicRoots,
     binet_scalar,
     cubic_roots,
-    discriminant,
     discriminant_exact,
     newton_refine_real_root,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "partial_sum_formula",
     "partial_sum_formula_uncorrected",
     "CubicRoots",
-    "discriminant",
     "discriminant_exact",
     "cubic_roots",
     "binet_scalar",

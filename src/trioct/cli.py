@@ -104,7 +104,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _params_from_config(path: str) -> RecurrenceParams:
     values: dict[str, int | Fraction] = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -73,11 +73,6 @@ def discriminant_exact(params: RecurrenceParams) -> Fraction:
     )
 
 
-def discriminant(params: RecurrenceParams) -> float:
-    """The regime discriminant evaluated in double precision."""
-    return float(discriminant_exact(params))
-
-
 def _real_cbrt(x: float) -> float:
     # sign-preserving real cube root; the radicands are real when disc > 0
     return math.copysign(abs(x) ** (1.0 / 3.0), x)

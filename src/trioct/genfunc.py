@@ -31,11 +31,6 @@ class OctPolynomial:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def slot_coefficients(self, slot: int) -> tuple[Scalar, ...]:
         """Scalar coefficients of one basis slot, trailing zeros trimmed."""
         coeffs = [c.components[slot] for c in self.coeffs]

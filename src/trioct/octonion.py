@@ -9,8 +9,9 @@ the exact product sums a list of signed ``(i, j)`` terms that is derived from
 the table at import and checked there to take one term from every row.
 Integer products accumulate those sums in plain ints; rational products do
 the same on numerators scaled to a common denominator and build one
-normalised Fraction per component.  Complex products walk the table row by
-row, which fixes the order of the floating-point sums.
+normalised Fraction per component.  Complex products sum the same lists in
+row order and skip a term when either factor is zero, which fixes the order
+and the rounding of the floating-point sums.
 
 All values are immutable after construction and every operation is a pure
 function, so octonions are safe to share freely between threads.
@@ -25,7 +26,6 @@ from typing import Iterable, Iterator
 
 from .scalars import (
     COMPLEX,
-    FIELD_VARIANTS,
     INT,
     RATIONAL,
     Scalar,
@@ -92,9 +92,6 @@ MULTIPLICATION_TABLE = MultiplicationTable(
 )
 MULTIPLICATION_TABLE.validate()
 
-_SIGN = MULTIPLICATION_TABLE.sign
-_INDEX = MULTIPLICATION_TABLE.index
-
 
 _Terms = tuple[tuple[int, int], ...]
 
@@ -135,7 +132,7 @@ def _scaled(comps: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
 
 def basis_product(i: int, j: int) -> tuple[int, int]:
     """Return ``(sign, index)`` with ``e_i * e_j = sign * e_index``."""
-    return _SIGN[i][j], _INDEX[i][j]
+    return MULTIPLICATION_TABLE.sign[i][j], MULTIPLICATION_TABLE.index[i][j]
 
 
 class Octonion:
@@ -210,10 +207,6 @@ class Octonion:
     def __bool__(self) -> bool:
         return any(self.components)
 
-    @property
-    def real(self) -> Scalar:
-        return self.components[0]
-
     def _require_same(self, other: "Octonion") -> None:
         if self.variant != other.variant:
             raise VariantError(
@@ -272,21 +265,15 @@ class Octonion:
             return Octonion._raw(
                 tuple(Fraction(n, den) for n in _int_slots(na, nb)), RATIONAL
             )
-        # complex: the zero-skipping row walk, whose summation order fixes the rounding
-        acc = [zero(COMPLEX)] * 8
-        for i in range(8):
-            ai = a[i]
-            if not ai:
-                continue
-            sign_row, index_row = _SIGN[i], _INDEX[i]
-            for j in range(8):
-                bj = b[j]
-                if not bj:
-                    continue
-                term = ai * bj
-                k = index_row[j]
-                acc[k] = acc[k] + term if sign_row[j] > 0 else acc[k] - term
-        return Octonion._raw(tuple(acc), self.variant)
+        # complex: each slot in row order, skipping zero factors; this fixes the rounding
+        out = []
+        for pos, neg in _SLOTS:
+            acc = zero(COMPLEX)
+            for i, j in sorted(pos + neg):
+                if a[i] and b[j]:
+                    acc = acc + a[i] * b[j] if (i, j) in pos else acc - a[i] * b[j]
+            out.append(acc)
+        return Octonion._raw(tuple(out), COMPLEX)
 
     def conjugate(self) -> "Octonion":
         """Keep the real part, negate the seven imaginary components."""
@@ -305,27 +292,6 @@ class Octonion:
                     "norm_sq needs real coefficients; some imaginary parts are nonzero"
                 )
         return sum(c * c for c in self.components)
-
-    def norm(self) -> float:
-        """Euclidean norm as a double; complex variant with real entries only."""
-        if self.variant != COMPLEX:
-            raise VariantError(
-                "norm() is only provided for the complex variant; exact variants "
-                "stay radical-free, use norm_sq()"
-            )
-        return math.sqrt(self.norm_sq().real)
-
-    def inverse(self) -> "Octonion":
-        """Multiplicative inverse conj(p)/norm_sq(p); field variants only."""
-        if self.variant not in FIELD_VARIANTS:
-            raise VariantError(
-                f"inverse needs a field scalar variant, not {self.variant}; "
-                "convert with as_rational()"
-            )
-        ns = self.norm_sq()
-        if not ns:
-            raise ZeroDivisionError("the zero octonion has no inverse")
-        return self.conjugate().scalar_mul(1 / ns)
 
     # -- conversions ------------------------------------------------------
 

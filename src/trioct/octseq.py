@@ -12,7 +12,6 @@ read-only; extending one cache from two threads at once is not safe.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterator
@@ -91,10 +90,6 @@ class OctSequenceContext:
     def norm_sq(self, n: int) -> Scalar:
         """Exact squared norm of the lift: sum of the eight squared terms."""
         return self.oct_term(n).norm_sq()
-
-    def norm(self, n: int) -> float:
-        """Euclidean norm of the lift as a double."""
-        return math.sqrt(float(self.norm_sq(n)))
 
     def _combine(self, n: int, a: Scalar, b: Scalar, c: Scalar) -> Octonion:
         """a*O(n+2) + b*O(n+1) + c*O(n), exact; a, b, c share the family's variant."""

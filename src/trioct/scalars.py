@@ -16,7 +16,6 @@ RATIONAL = "rational"
 COMPLEX = "complex"
 
 EXACT_VARIANTS = (INT, RATIONAL)
-FIELD_VARIANTS = (RATIONAL, COMPLEX)
 
 Scalar = int | Fraction | complex
 

@@ -185,8 +185,8 @@ class CategoryResult:
         if rel_residual > tol:
             self.failed += 1
 
-    def skip(self, count: int = 1) -> None:
-        self.skipped += count
+    def skip(self) -> None:
+        self.skipped += 1
 
 
 @dataclass

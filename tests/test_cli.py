@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 from trioct import PRESET_NAMES, OctSequenceContext, RecurrenceParams, preset_lookup
 from trioct.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +176,17 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "seq", "--config", str(config), "--n", "7", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "7,37"
+
+
+def test_config_file_is_closed(tmp_path):
+    config = tmp_path / "family.cfg"
+    config.write_text("r = 1\ns = 1\nt = 1\nv0 = 0\nv1 = 0\nv2 = 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "trioct.cli", "seq", "--config", str(config), "--n", "0..3"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_config_file_rational_value(tmp_path, capsys):

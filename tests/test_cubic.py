@@ -12,7 +12,6 @@ from trioct import (
     RegimeError,
     binet_scalar,
     cubic_roots,
-    discriminant,
     discriminant_exact,
     newton_refine_real_root,
     preset_lookup,
@@ -28,7 +27,6 @@ def test_discriminant_exact_values():
     assert discriminant_exact(preset_lookup("third_order_jacobsthal")) == Fraction(49, 36)
     assert discriminant_exact(RecurrenceParams(0, 3, 0, 0, 1, 1)) == -1
     assert discriminant_exact(RecurrenceParams(0, 0, 0, 0, 1, 1)) == 0
-    assert discriminant(preset_lookup("tribonacci")) == pytest.approx(11 / 27, rel=1e-15)
 
 
 def test_nonpositive_discriminant_rejected():

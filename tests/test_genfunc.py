@@ -48,14 +48,13 @@ def test_numerator_slots(name):
 
 def test_zero_initials_numerator_is_zero():
     numerator = gf_numerator(OctSequenceContext(RecurrenceParams(2, 1, -3, 0, 0, 0)))
-    assert numerator.degree == -1
     assert numerator.coeffs == ()
 
 
 def test_trailing_zero_trimming():
     z = Octonion.zero()
     poly = OctPolynomial((Octonion.basis(1), z, z))
-    assert poly.degree == 0
+    assert poly.coeffs == (Octonion.basis(1),)
     assert OctPolynomial((z, z, z)).coeffs == ()
 
 

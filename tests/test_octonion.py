@@ -17,7 +17,6 @@ from trioct import (
 )
 
 E = [Octonion.basis(i) for i in range(8)]
-ER = [Octonion.basis(i, RATIONAL) for i in range(8)]
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 roctonions = st.builds(lambda cs: Octonion(cs), st.tuples(*[rationals] * 8))
@@ -124,27 +123,6 @@ def test_norm_sq_rejects_nonreal_complex():
     p = Octonion((1 + 1j,) + (0j,) * 7)
     with pytest.raises(ValueError):
         p.norm_sq()
-
-
-def test_norm_float_for_real_complex_only():
-    p = Octonion((3 + 0j, 4 + 0j) + (0j,) * 6)
-    assert p.norm() == 5.0
-    with pytest.raises(VariantError):
-        Octonion((3, 4, 0, 0, 0, 0, 0, 0)).norm()
-
-
-def test_inverse_examples():
-    assert ER[1].inverse() == -ER[1]
-    p = ER[0] + ER[3] + ER[6]
-    assert p * p.inverse() == ER[0]
-    assert p.inverse() * p == ER[0]
-
-
-def test_inverse_errors():
-    with pytest.raises(ZeroDivisionError):
-        Octonion.zero(RATIONAL).inverse()
-    with pytest.raises(VariantError):
-        E[1].inverse()  # integers are not a field
 
 
 def test_serialization():
@@ -260,3 +238,10 @@ def test_product_matches_table_expansion(pair):
     product = p * q
     assert product.variant == p.variant
     assert [_exact_form(c) for c in product] == [_exact_form(c) for c in _expand_product(p, q)]
+
+
+def test_complex_product_skips_zero_factors():
+    # inf * 0j is nan, so a product that multiplied every pair would fill these slots with nan
+    p = Octonion((complex(float("inf"), 0),) + (0j,) * 7)
+    product = p * Octonion.basis(1, COMPLEX)
+    assert [_exact_form(c) for k, c in enumerate(product) if k != 1] == [_exact_form(0j)] * 7
