@@ -17,13 +17,12 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .genfunc import build_gf, format_polynomial, gf_numerator
 from .octseq import OctSequenceContext
 from .scalars import RegimeError, VariantError, format_scalar, parse_exact
-from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, terms
+from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, seq_term, terms
 from .cubic import cubic_roots
 from .verify import SuiteConfig, run_suite
 
@@ -87,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _table_range(text: str, params: RecurrenceParams) -> tuple[int, int]:
+    """--n as (lo, hi); RegimeError when the rows would pass the size cap."""
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -98,6 +98,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise CliError(f"range {text!r} must be nonnegative and nondecreasing")
     if b > sys.maxsize:
         raise CliError(f"range {text!r} goes past the largest supported index, {sys.maxsize}")
+    # the last row reads term(hi + 7), its largest; the jump to it checks the cap
+    seq_term(params, b + 7)
     return a, b
 
 
@@ -173,12 +175,9 @@ def _exact_digits() -> Iterator[None]:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    lo, hi = _parse_range(args.n)
+    lo, hi = _table_range(args.n, params)
     with _exact_digits():
-        rows = [
-            (n, format_scalar(v))
-            for n, v in zip(range(lo, hi + 1), islice(terms(params), lo, None))
-        ]
+        rows = [(n, format_scalar(v)) for n, v in zip(range(lo, hi + 1), terms(params, start=lo))]
     if args.format == "csv":
         text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
     elif args.format == "jsonl":
@@ -193,7 +192,7 @@ def _cmd_octonions(args: argparse.Namespace) -> int:
     # oct prints the lifts O(n), sum the direct prefix sums O(0) + ... + O(n)
     ctx = OctSequenceContext(_resolve_params(args))
     row = ctx.oct_term if args.command == "oct" else ctx.oct_prefix_sum
-    lo, hi = _parse_range(args.n)
+    lo, hi = _table_range(args.n, ctx.params)
     with _exact_digits():
         rows = [(n, row(n).serialize()) for n in range(lo, hi + 1)]
     if args.format == "csv":

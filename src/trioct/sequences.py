@@ -7,6 +7,7 @@ here is exact; only nonnegative indices are defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -84,33 +85,109 @@ def _check_index(n: int) -> int:
     return n
 
 
-def terms(params: RecurrenceParams, companion: bool = False) -> Iterator[Scalar]:
-    """Yield term 0, 1, 2, ... exactly; companion=True yields U, seeds (0, 1, r).
+# The cap on the coefficients a jump builds, in bits (numerator plus
+# denominator for rationals): about 301,000 digits.  Rendering is the real
+# limit; str() of a 3*10**5-digit int took 1.8 s on Python 3.11 (2 CPUs).
+MAX_TERM_BITS = 1_000_000
 
-    The one place the recurrence is stepped.  Seeds are yielded verbatim
-    and every term keeps the parameters' scalar variant.
+
+def _digits(bits: int) -> int:
+    return int(bits * math.log10(2))
+
+
+class _CubicQuotient:
+    """Exact arithmetic in Q[x]/(f), f(x) = x^3 - r*x^2 - s*x - t.
+
+    An element is a coefficient triple (c0, c1, c2) for c0 + c1*x + c2*x^2.
+    If x^n = c0 + c1*x + c2*x^2 mod f, then term(n) = c0*v0 + c1*v1 + c2*v2
+    for every family with these coefficients (C. M. Fiduccia, "An efficient
+    formula for linear recurrences", SIAM J. Comput. 14(1), 1985).
     """
-    r, s, t = params.r, params.s, params.t
-    if companion:
+
+    def __init__(self, params: RecurrenceParams):
+        self.r, self.s, self.t = params.r, params.s, params.t
         kind = params.variant
-        a, b, c = zero(kind), one(kind), r
+        self.one = (one(kind), zero(kind), zero(kind))
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """The product a*b, reduced mod f."""
+        r, s, t = self.r, self.s, self.t
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        d4 = a2 * b2
+        # fold x^4 = r*x^3 + s*x^2 + t*x, then x^3 = r*x^2 + s*x + t
+        d3 = a1 * b2 + a2 * b1 + r * d4
+        d2 = a0 * b2 + a1 * b1 + a2 * b0 + s * d4
+        d1 = a0 * b1 + a1 * b0 + t * d4
+        return a0 * b0 + t * d3, d1 + s * d3, d2 + r * d3
+
+    def shift(self, c: tuple) -> tuple:
+        """x*c, reduced mod f."""
+        c0, c1, c2 = c
+        return self.t * c2, c0 + self.s * c2, c1 + self.r * c2
+
+    def xpow(self, n: int) -> tuple:
+        """x^n mod f in O(log n) multiplications; RegimeError past MAX_TERM_BITS.
+
+        The bits of n are read from the left: square, then shift on a 1 bit.
+        Before each squaring the coefficients built so far are measured, so
+        an index whose terms are too large to render fails before the cost
+        is spent, while a family whose powers stay small jumps to any index.
+        """
+        c = self.one
+        for bit in bin(n)[2:]:
+            bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in c)
+            if bits > MAX_TERM_BITS:
+                raise RegimeError(
+                    f"term {n} is past the size cap: the jump to it would build coefficients "
+                    f"of about {_digits(bits):,} digits, more than {_digits(MAX_TERM_BITS):,}"
+                )
+            c = self.mul(c, c)
+            if bit == "1":
+                c = self.shift(c)
+        return c
+
+
+def terms(params: RecurrenceParams, companion: bool = False, start: int = 0) -> Iterator[Scalar]:
+    """Yield term start, start+1, ... exactly; companion=True yields U, seeds (0, 1, r).
+
+    The one place the recurrence is stepped.  A start of 3 or more jumps to
+    the window (term(start), term(start+1), term(start+2)) through x^start
+    mod f (RegimeError past MAX_TERM_BITS) and steps from there; below 3
+    the seeds are yielded verbatim.  Every term keeps the parameters'
+    scalar variant.
+    """
+    _check_index(start)
+    if companion:
+        seeds = (zero(params.variant), one(params.variant), params.r)
     else:
-        a, b, c = params.v0, params.v1, params.v2
+        seeds = (params.v0, params.v1, params.v2)
+    if start < 3:
+        return islice(_stepped(params, *seeds), start, None)
+    ring = _CubicQuotient(params)
+    c = ring.xpow(start)
+    window = []
+    for _ in range(3):
+        window.append(sum(map(mul, c, seeds)))
+        c = ring.shift(c)
+    return _stepped(params, *window)
+
+
+def _stepped(params: RecurrenceParams, a: Scalar, b: Scalar, c: Scalar) -> Iterator[Scalar]:
+    r, s, t = params.r, params.s, params.t
     while True:
         yield a
         a, b, c = b, c, r * c + s * b + t * a
 
 
 def seq_term(params: RecurrenceParams, n: int) -> Scalar:
-    """Exact n-th term by forward iteration; seeds returned verbatim."""
-    _check_index(n)
-    return next(islice(terms(params), n, None))
+    """Exact n-th term in O(log n) multiplications (see terms); seeds returned verbatim."""
+    return next(terms(params, start=n))
 
 
 def u_term(params: RecurrenceParams, n: int) -> Scalar:
-    """The companion family with seeds (0, 1, r) under the same recurrence."""
-    _check_index(n)
-    return next(islice(terms(params, companion=True), n, None))
+    """The companion family with seeds (0, 1, r) under the same recurrence, as seq_term."""
+    return next(terms(params, companion=True, start=n))
 
 
 def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar]:
@@ -120,7 +197,7 @@ def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar
     """
     if n < 2:
         raise ValueError("the companion expansion needs n >= 2")
-    a, b, c = _expansion_weights(params, *islice(terms(params, companion=True), n - 2, n + 1))
+    a, b, c = _expansion_weights(params, *islice(terms(params, companion=True, start=n - 2), 3))
     return seq_term(params, n + 1), a * params.v2 + b * params.v1 + c * params.v0
 
 
@@ -164,8 +241,11 @@ def partial_sum_formula_uncorrected(params: RecurrenceParams, n: int) -> Fractio
 
 
 def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction:
-    window = islice(terms(params), _check_index(n), n + 3)  # read only when delta != 0
-    return _closed_form_sum(params, lambda a, b, c: sum(map(mul, (c, b, a), window)), constant)
+    _check_index(n)
+    # the window is jumped to only when delta != 0
+    return _closed_form_sum(
+        params, lambda a, b, c: sum(map(mul, (c, b, a), islice(terms(params, start=n), 3))), constant
+    )
 
 
 def _closed_form_sum(params: RecurrenceParams, combine: Callable, constant):

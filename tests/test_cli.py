@@ -110,6 +110,33 @@ def test_index_past_maxsize_is_a_usage_error(capsys, command, text):
     assert "islice" not in err
 
 
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    # a subprocess with a timeout: a regression to an O(n) walk fails in seconds
+    return subprocess.run(
+        [sys.executable, "-m", "trioct.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "text"])
+def test_seq_from_a_deep_start_matches_the_walk_from_zero(fmt):
+    deep = _cli_process("seq", "--preset", "tribonacci", "--n", "2990..3010", "--format", fmt)
+    full = _cli_process("seq", "--preset", "tribonacci", "--n", "0..3010", "--format", fmt)
+    assert deep.returncode == full.returncode == 0
+    header = b"n,value\n" if fmt == "csv" else b""
+    rows = full.stdout.splitlines(keepends=True)[-21:]
+    assert deep.stdout == header + b"".join(rows)
+
+
+@pytest.mark.parametrize("command", ["seq", "oct", "sum"])
+@pytest.mark.parametrize("text", [str(10**12), f"0..{10**12}"])
+def test_index_past_the_size_cap_fails_fast(command, text):
+    proc = _cli_process(command, "--preset", "tribonacci", "--n", text)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"trioct: error: term 1000000000007 is past the size cap")
+
+
 def test_roots_labels(capsys):
     code, out, _ = run_cli(capsys, "roots", "--preset", "tribonacci")
     assert code == 0

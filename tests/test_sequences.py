@@ -1,7 +1,11 @@
 """Recurrence families, presets, and the scalar identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,19 @@ from trioct import (
     seq_term,
     u_term,
 )
-from trioct.sequences import terms
+from trioct.sequences import MAX_TERM_BITS, PRESETS, terms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the presets plus families the jump must handle like the walk: rational,
+# delta = 0 (x^3 - x^2 - x + 1 = (x-1)^2 (x+1)), and a repeated root
+# (x^3 - 3x - 2 = (x+1)^2 (x-2))
+JUMP_FAMILIES = [
+    *PRESETS.values(),
+    RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))),
+    RecurrenceParams(1, 1, -1, 0, 1, 1),
+    RecurrenceParams(0, 3, 2, 1, -1, 2),
+]
 
 FIRST_TEN = {
     "tribonacci": [0, 1, 1, 2, 4, 7, 13, 24, 44, 81],
@@ -176,3 +192,70 @@ def test_partial_sum_matches_direct(params, n):
             partial_sum_formula(params, n)
     else:
         assert partial_sum_formula(params, n) == prefix_sum(params, n)
+
+
+@pytest.mark.parametrize("params", JUMP_FAMILIES)
+@pytest.mark.parametrize("companion", [False, True])
+def test_jump_matches_the_walk(params, companion):
+    walk = list(islice(terms(params, companion), 200))
+    jump = seq_term if not companion else u_term
+    for n, want in enumerate(walk):
+        got = jump(params, n)
+        assert got == want and type(got) is type(want), (n, got, want)
+
+
+@pytest.mark.parametrize("params", JUMP_FAMILIES)
+def test_terms_from_a_start_index(params):
+    for companion in (False, True):
+        walk = list(islice(terms(params, companion), 3006 + 12))
+        for k in [*range(41), *range(2995, 3006)]:
+            assert list(islice(terms(params, companion, k), 12)) == walk[k : k + 12], (companion, k)
+
+
+def test_terms_rejects_negative_start():
+    with pytest.raises(ValueError):
+        terms(preset_lookup("tribonacci"), start=-1)
+    with pytest.raises(ValueError):
+        terms(preset_lookup("tribonacci"), companion=True, start=-3)
+
+
+def test_jump_admits_tribonacci_at_three_hundred_thousand():
+    params = preset_lookup("tribonacci")
+    window = list(islice(terms(params, start=299_997), 4))
+    assert window[3] == window[2] + window[1] + window[0] == seq_term(params, 300_000)
+    assert window[3].bit_length() == 263_743  # 79,395 digits
+    assert window[3].bit_length() < MAX_TERM_BITS
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    # in a subprocess with a timeout, so a regression to an O(n) walk fails in seconds
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_deep_jump_past_the_cap_fails_fast():
+    proc = _run(
+        "from trioct import RegimeError, preset_lookup, seq_term, u_term\n"
+        "for f in (seq_term, u_term):\n"
+        "    try:\n"
+        "        f(preset_lookup('tribonacci'), 10**12)\n"
+        "    except RegimeError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all("term 1000000000000 " in line and " digits" in line for line in lines)
+
+
+def test_bounded_family_jumps_to_any_index():
+    # x^3 = 1 mod f: the powers of x never grow, so no cap applies
+    proc = _run(
+        "from trioct import RecurrenceParams, seq_term, u_term\n"
+        "p = RecurrenceParams(0, 0, 1, 4, 5, 6)\n"
+        "print(seq_term(p, 10**12), seq_term(p, 10**12 + 2), u_term(p, 10**12))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 4 1\n"
