@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
-from .scalars import RATIONAL, RegimeError, Scalar, as_complex, zero
+from .scalars import INT, RATIONAL, RegimeError, Scalar, as_complex, zero
 from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights
 from .sequences import sum_constant, terms
 
@@ -53,7 +53,8 @@ class OctSequenceContext:
         self._u = ([], terms(params, companion=True))
         # _s holds the running sums: _s[k] = term(0) + ... + term(k-1)
         self._s = ([], accumulate(terms(params), initial=zero(self._kind)))
-        self._correction: Octonion | None = None
+        self._correction: tuple[Scalar, ...] | None = None
+        self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
         self._roots: CubicRoots | None = None
 
     @property
@@ -123,10 +124,13 @@ class OctSequenceContext:
         when delta == 0.
         """
         if self._correction is None:
-            self._correction = sum_correction(self.params)
-        return _closed_form_sum(
-            self.params, lambda a, b, c: self._combine(n, a, b, c).as_rational(), self._correction
+            # integral for an int family, whose numerators then stay ints
+            correction = sum_correction(self.params).components
+            self._correction = tuple(map(int, correction)) if self._kind == INT else correction
+        sums = _closed_form_sum(
+            self.params, lambda a, b, c: self._combine(n, a, b, c).components, self._correction
         )
+        return Octonion._raw(tuple(sums), RATIONAL)
 
     def shift_formula(self, n: int, m: int) -> tuple[Octonion, Octonion]:
         """Index-shift convolution: O(n+m) from O(n), O(n+1), O(n+2).
@@ -145,7 +149,9 @@ class OctSequenceContext:
         """
         if m < 3:
             raise RegimeError("the shift convolution is stated for m >= 3")
-        return _expansion_weights(self.params, *self._extend(self._u, m - 3, 3)[m - 3 : m])
+        if m not in self._weights:
+            self._weights[m] = _expansion_weights(self.params, *self._extend(self._u, m - 3, 3)[m - 3 : m])
+        return self._weights[m]
 
     # -- root-based closed forms (floating point) ---------------------------
 

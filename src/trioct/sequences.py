@@ -105,21 +105,27 @@ class _CubicQuotient:
     """
 
     def __init__(self, params: RecurrenceParams):
-        self.r, self.s, self.t = params.r, params.s, params.t
+        r, s, t = self.r, self.s, self.t = params.r, params.s, params.t
         kind = params.variant
         self.one = (one(kind), zero(kind), zero(kind))
+        # With d the common denominator of r, s, t and b = d*max(|r|, |s|, |t|),
+        # d**k * x**k has integer coefficients of at most (d + b)**k, so x**k
+        # measures at most k*g + 2 bits, g = bitlen(d + b) + bitlen(d): no
+        # x**k with k <= fits can fail xpow's size check.
+        d = math.lcm(r.denominator, s.denominator, t.denominator)
+        b = int(d * max(abs(r), abs(s), abs(t)))
+        self.fits = (MAX_TERM_BITS // 2 - 2) // ((d + b).bit_length() + d.bit_length())
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """The product a*b, reduced mod f."""
+    def square(self, a: tuple) -> tuple:
+        """a*a, reduced mod f, in six big products."""
         r, s, t = self.r, self.s, self.t
         a0, a1, a2 = a
-        b0, b1, b2 = b
-        d4 = a2 * b2
+        d01, d02, d12, d4 = a0 * a1, a0 * a2, a1 * a2, a2 * a2
         # fold x^4 = r*x^3 + s*x^2 + t*x, then x^3 = r*x^2 + s*x + t
-        d3 = a1 * b2 + a2 * b1 + r * d4
-        d2 = a0 * b2 + a1 * b1 + a2 * b0 + s * d4
-        d1 = a0 * b1 + a1 * b0 + t * d4
-        return a0 * b0 + t * d3, d1 + s * d3, d2 + r * d3
+        d3 = d12 + d12 + r * d4
+        d2 = d02 + d02 + a1 * a1 + s * d4
+        d1 = d01 + d01 + t * d4
+        return a0 * a0 + t * d3, d1 + s * d3, d2 + r * d3
 
     def shift(self, c: tuple) -> tuple:
         """x*c, reduced mod f."""
@@ -127,22 +133,26 @@ class _CubicQuotient:
         return self.t * c2, c0 + self.s * c2, c1 + self.r * c2
 
     def xpow(self, n: int) -> tuple:
-        """x^n mod f in O(log n) multiplications; RegimeError past MAX_TERM_BITS.
+        """x^n mod f in O(log n) squarings; RegimeError past MAX_TERM_BITS.
 
         The bits of n are read from the left: square, then shift on a 1 bit.
         Before each squaring the coefficients built so far are measured, so
         an index whose terms are too large to render fails before the cost
         is spent, while a family whose powers stay small jumps to any index.
+        The powers squared are x^k with k <= n >> 1, so when n >> 1 <= fits
+        none can pass the cap and the measuring is skipped.
         """
         c = self.one
+        measure = n >> 1 > self.fits
         for bit in bin(n)[2:]:
-            bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in c)
-            if bits > MAX_TERM_BITS:
-                raise RegimeError(
-                    f"term {n} is past the size cap: the jump to it would build coefficients "
-                    f"of about {_digits(bits):,} digits, more than {_digits(MAX_TERM_BITS):,}"
-                )
-            c = self.mul(c, c)
+            if measure:
+                bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in c)
+                if bits > MAX_TERM_BITS:
+                    raise RegimeError(
+                        f"term {n} is past the size cap: the jump to it would build coefficients "
+                        f"of about {_digits(bits):,} digits, more than {_digits(MAX_TERM_BITS):,}"
+                    )
+            c = self.square(c)
             if bit == "1":
                 c = self.shift(c)
         return c
@@ -244,17 +254,19 @@ def _partial_sum(params: RecurrenceParams, n: int, constant: Scalar) -> Fraction
     _check_index(n)
     # the window is jumped to only when delta != 0
     return _closed_form_sum(
-        params, lambda a, b, c: sum(map(mul, (c, b, a), islice(terms(params, start=n), 3))), constant
-    )
+        params, lambda a, b, c: (sum(map(mul, (c, b, a), islice(terms(params, start=n), 3))),), (constant,)
+    )[0]
 
 
-def _closed_form_sum(params: RecurrenceParams, combine: Callable, constant):
+def _closed_form_sum(params: RecurrenceParams, combine: Callable, constant: tuple) -> list[Fraction]:
     """(x(n+2) + (1-r)*x(n+1) + t*x(n) + constant) / delta, the prefix sum x(0) + ... + x(n).
 
-    combine(a, b, c) gives a*x(n+2) + b*x(n+1) + c*x(n): of the scalar terms,
-    with sum_constant, for the scalar sum; of the octonion lifts, as exact
-    rationals, with octseq.sum_correction for the lifted one.  RegimeError
-    when delta == 0, before combine is called.
+    Componentwise: combine(a, b, c) gives the components of a*x(n+2) +
+    b*x(n+1) + c*x(n) and constant one per component.  Of the scalar terms,
+    with sum_constant, for the scalar sum; of the octonion lifts, with
+    octseq.sum_correction, for the lifted one.  Each component is divided by
+    delta once, as an exact Fraction.  RegimeError when delta == 0, before
+    combine is called.
     """
     d = params.delta
     if not d:
@@ -262,4 +274,4 @@ def _closed_form_sum(params: RecurrenceParams, combine: Callable, constant):
             "r + s + t - 1 is zero: the closed-form prefix sum is undefined; "
             "sum the terms directly (prefix_sum, oct_prefix_sum)"
         )
-    return (combine(1, 1 - params.r, params.t) + constant) * (1 / Fraction(d))
+    return [Fraction(x + k, d) for x, k in zip(combine(1, 1 - params.r, params.t), constant)]

@@ -175,6 +175,20 @@ def test_sum_correction_built_once_per_context(monkeypatch):
     assert len(calls) == 1
 
 
+def test_shift_weights_computed_once_per_m(monkeypatch):
+    import trioct.octseq as octseq
+
+    calls = []
+    original = octseq._expansion_weights
+    monkeypatch.setattr(octseq, "_expansion_weights", lambda *args: calls.append(args[0]) or original(*args))
+    ctx = ctx_for("third_order_jacobsthal")
+    for m in range(3, 11):
+        for n in range(51):
+            lhs, rhs = ctx.shift_formula(n, m)
+            assert lhs == rhs
+    assert len(calls) == 8
+
+
 def test_root_forms_past_double_range_raise_regime_error():
     ctx = ctx_for("tribonacci")
     forms = [
@@ -317,15 +331,19 @@ def test_recurrence_check_random_params(params, n):
     assert lhs == rhs
 
 
-@given(int_params, st.integers(0, 20))
+@given(int_params, st.integers(0, 20), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_sum_octonions_random_params(params, n):
+def test_sum_octonions_random_params(params, n, rational):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
     ctx = OctSequenceContext(params)
     if params.delta == 0:
         with pytest.raises(RegimeError):
             ctx.sum_octonions(n)
     else:
-        assert ctx.sum_octonions(n) == ctx.oct_prefix_sum(n)
+        total = ctx.sum_octonions(n)
+        assert total == ctx.oct_prefix_sum(n)
+        assert all(type(c) is Fraction for c in total.components)
 
 
 @given(int_params, st.integers(0, 30), st.integers(3, 12))

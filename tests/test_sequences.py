@@ -1,5 +1,6 @@
 """Recurrence families, presets, and the scalar identities."""
 
+import math
 import os
 import subprocess
 import sys
@@ -23,16 +24,18 @@ from trioct import (
     seq_term,
     u_term,
 )
-from trioct.sequences import MAX_TERM_BITS, PRESETS, terms
+from trioct.sequences import MAX_TERM_BITS, PRESETS, _CubicQuotient, terms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+RATIONAL_FAMILY = RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7")))
 
 # the presets plus families the jump must handle like the walk: rational,
 # delta = 0 (x^3 - x^2 - x + 1 = (x-1)^2 (x+1)), and a repeated root
 # (x^3 - 3x - 2 = (x+1)^2 (x-2))
 JUMP_FAMILIES = [
     *PRESETS.values(),
-    RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))),
+    RATIONAL_FAMILY,
     RecurrenceParams(1, 1, -1, 0, 1, 1),
     RecurrenceParams(0, 3, 2, 1, -1, 2),
 ]
@@ -227,6 +230,60 @@ def test_jump_admits_tribonacci_at_three_hundred_thousand():
     assert window[3].bit_length() < MAX_TERM_BITS
 
 
+# r, s, t pairwise distinct, so a product folded with the wrong coefficient
+# shows (tribonacci and padovan have s == t)
+DISTINCT_FAMILIES = [
+    RecurrenceParams(2, -3, 5, 0, 1, 1),
+    RecurrenceParams(0, 3, 2, 1, -1, 2),
+    RATIONAL_FAMILY,
+    RecurrenceParams(*map(Fraction, ("-7/4", "5/9", "3/10", "0", "1", "1"))),
+]
+
+int_coefficients = st.one_of(st.just(0), st.integers(-(10**40), 10**40))
+rational_coefficients = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**9))
+)
+
+
+def _product_mod_f(params, a, b):
+    # schoolbook product of two quadratics, then long division by
+    # x^3 - r*x^2 - s*x - t from the top coefficient down
+    prod = [0] * 5
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in (4, 3):
+        top = prod.pop()
+        prod[k - 1] += params.r * top
+        prod[k - 2] += params.s * top
+        prod[k - 3] += params.t * top
+    return tuple(prod)
+
+
+@pytest.mark.parametrize("params", DISTINCT_FAMILIES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_square_matches_product_then_reduce(params, data):
+    ring = _CubicQuotient(params)
+    kind = type(params.r)
+    if kind is int:
+        explicit = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (-3, 0, 7), (2, -5, -11)]
+        coefficients = int_coefficients
+    else:
+        explicit = [
+            (Fraction(0), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(-1), Fraction(0)),
+            (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 10)),
+            (Fraction(-9, 4), Fraction(0), Fraction(11, 6)),
+        ]
+        coefficients = rational_coefficients
+    drawn = data.draw(st.tuples(coefficients, coefficients, coefficients))
+    for c in [*explicit, drawn]:
+        got = ring.square(c)
+        assert got == _product_mod_f(params, c, c), c
+        assert all(type(x) is kind for x in got), c
+
+
 def _run(code: str) -> subprocess.CompletedProcess:
     # in a subprocess with a timeout, so a regression to an O(n) walk fails in seconds
     return subprocess.run(
@@ -259,3 +316,63 @@ def test_bounded_family_jumps_to_any_index():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5 4 1\n"
+
+
+def test_size_cap_boundary_is_pinned():
+    # the largest index that jumps and the smallest that raises, found by
+    # bisection on the jump that measured its coefficients before every squaring
+    proc = _run(
+        "from fractions import Fraction\n"
+        "from trioct import RecurrenceParams, RegimeError, preset_lookup\n"
+        "from trioct.sequences import _CubicQuotient\n"
+        "rational = RecurrenceParams(*map(Fraction, ('1/2', '2/3', '1/6', '1/3', '-2', '5/7')))\n"
+        "for p, n in ((preset_lookup('tribonacci'), 1_137_471), (rational, 261_295)):\n"
+        "    _CubicQuotient(p).xpow(n)\n"
+        "    try:\n"
+        "        _CubicQuotient(p).xpow(n + 1)\n"
+        "    except RegimeError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"term {n} is past the size cap: the jump to it would build coefficients "
+        "of about 301,030 digits, more than 301,029"
+        for n in (1_137_472, 261_296)
+    ]
+
+
+def _measured_every_bit(params, n):
+    # the size check run before every squaring: the bits it raises at, or None
+    ring = _CubicQuotient(params)
+    c = ring.one
+    for bit in bin(n)[2:]:
+        bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in c)
+        if bits > MAX_TERM_BITS:
+            return bits
+        c = ring.square(c)
+        if bit == "1":
+            c = ring.shift(c)
+    return None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        RecurrenceParams(2**50000, -3, 1, 0, 1, 1),
+        RecurrenceParams(*(Fraction(1, 2**50000), *map(Fraction, (0, 0, 0, 1, 1)))),
+    ],
+)
+def test_skipped_size_checks_would_have_passed(params):
+    # huge coefficients put the cap within a few squarings
+    raised = []
+    for n in range(28):
+        bits = _measured_every_bit(params, n)
+        if bits is None:
+            seq_term(params, n)
+            continue
+        with pytest.raises(RegimeError) as exc:
+            seq_term(params, n)
+        assert f"term {n} " in str(exc.value) and f" {int(bits * math.log10(2)):,} digits" in str(exc.value)
+        raised.append(n)
+    # both ways are covered: checks skipped (n >> 1 <= fits) and raises
+    assert _CubicQuotient(params).fits >= 1 and raised
