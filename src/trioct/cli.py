@@ -17,6 +17,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .genfunc import build_gf, format_polynomial, gf_numerator
@@ -173,35 +174,33 @@ def _exact_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _cmd_seq(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
+    # seq prints the terms, oct the lifts O(n), sum the direct prefix sums O(0) + ... + O(n)
     params = _resolve_params(args)
     lo, hi = _table_range(args.n, params)
     with _exact_digits():
-        rows = [(n, format_scalar(v)) for n, v in zip(range(lo, hi + 1), terms(params, start=lo))]
+        if args.command == "sum":
+            ctx = OctSequenceContext(params)
+            rows = [(n, ctx.oct_prefix_sum(n).serialize()) for n in range(lo, hi + 1)]
+        else:
+            # row n is terms n .. n + width - 1, read from the jump to lo and formatted once
+            width = 1 if args.command == "seq" else 8
+            values = [format_scalar(v) for v in islice(terms(params, start=lo), hi - lo + width)]
+            rows = [(n, values[n - lo : n - lo + width]) for n in range(lo, hi + 1)]
+    # a seq row is one value, an oct or sum row eight components
+    seq = args.command == "seq"
     if args.format == "csv":
-        text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
+        header = "n,value" if seq else "n," + ",".join(f"e{l}" for l in range(8))
+        text = header + "\n" + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in rows)
     elif args.format == "jsonl":
-        text = "".join(json.dumps({"n": n, "value": v}) + "\n" for n, v in rows)
+        key = "value" if seq else "components"
+        text = "".join(
+            json.dumps({"n": n, key: comps[0] if seq else list(comps)}) + "\n" for n, comps in rows
+        )
     else:
-        text = "".join(f"{n}: {v}\n" for n, v in rows)
-    _emit(args, text)
-    return 0
-
-
-def _cmd_octonions(args: argparse.Namespace) -> int:
-    # oct prints the lifts O(n), sum the direct prefix sums O(0) + ... + O(n)
-    ctx = OctSequenceContext(_resolve_params(args))
-    row = ctx.oct_term if args.command == "oct" else ctx.oct_prefix_sum
-    lo, hi = _table_range(args.n, ctx.params)
-    with _exact_digits():
-        rows = [(n, row(n).serialize()) for n in range(lo, hi + 1)]
-    if args.format == "csv":
-        header = "n," + ",".join(f"e{l}" for l in range(8)) + "\n"
-        text = header + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in rows)
-    elif args.format == "jsonl":
-        text = "".join(json.dumps({"n": n, "components": list(comps)}) + "\n" for n, comps in rows)
-    else:
-        text = "".join(f"{n}: (" + ", ".join(comps) + ")\n" for n, comps in rows)
+        text = "".join(
+            f"{n}: " + (comps[0] if seq else f"({', '.join(comps)})") + "\n" for n, comps in rows
+        )
     _emit(args, text)
     return 0
 
@@ -250,11 +249,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "seq": _cmd_seq,
-    "oct": _cmd_octonions,
+    "seq": _cmd_table,
+    "oct": _cmd_table,
     "roots": _cmd_roots,
     "genfunc": _cmd_genfunc,
-    "sum": _cmd_octonions,
+    "sum": _cmd_table,
     "verify": _cmd_verify,
 }
 

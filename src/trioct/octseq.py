@@ -50,7 +50,6 @@ class OctSequenceContext:
         self._kind = params.variant
         # each cache: the values so far and the generator that continues them
         self._v = ([], terms(params))
-        self._u = ([], terms(params, companion=True))
         # _s holds the running sums: _s[k] = term(0) + ... + term(k-1)
         self._s = ([], accumulate(terms(params), initial=zero(self._kind)))
         self._correction: tuple[Scalar, ...] | None = None
@@ -76,10 +75,6 @@ class OctSequenceContext:
     def seq(self, n: int) -> Scalar:
         """Exact n-th term of the family (cached)."""
         return self._extend(self._v, n)[n]
-
-    def useq(self, n: int) -> Scalar:
-        """Exact n-th companion term, seeds (0, 1, r) (cached)."""
-        return self._extend(self._u, n)[n]
 
     # -- the lift and its exact identities ---------------------------------
 
@@ -150,7 +145,7 @@ class OctSequenceContext:
         if m < 3:
             raise RegimeError("the shift convolution is stated for m >= 3")
         if m not in self._weights:
-            self._weights[m] = _expansion_weights(self.params, *self._extend(self._u, m - 3, 3)[m - 3 : m])
+            self._weights[m] = _expansion_weights(self.params, m)
         return self._weights[m]
 
     # -- root-based closed forms (floating point) ---------------------------

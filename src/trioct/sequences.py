@@ -207,12 +207,16 @@ def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar
     """
     if n < 2:
         raise ValueError("the companion expansion needs n >= 2")
-    a, b, c = _expansion_weights(params, *islice(terms(params, companion=True, start=n - 2), 3))
+    a, b, c = _expansion_weights(params, n + 1)
     return seq_term(params, n + 1), a * params.v2 + b * params.v1 + c * params.v0
 
 
-def _expansion_weights(params: RecurrenceParams, u3, u2, u1) -> tuple[Scalar, Scalar, Scalar]:
-    """(U(m-1), s*U(m-2) + t*U(m-3), t*U(m-2)): the weights of x(n+2), x(n+1), x(n) in x(n+m)."""
+def _expansion_weights(params: RecurrenceParams, m: int) -> tuple[Scalar, Scalar, Scalar]:
+    """(U(m-1), s*U(m-2) + t*U(m-3), t*U(m-2)): the weights of x(n+2), x(n+1), x(n) in x(n+m).
+
+    U(m-3), U(m-2), U(m-1) are read from the companion terms from m - 3 on.
+    """
+    u3, u2, u1 = islice(terms(params, companion=True, start=m - 3), 3)
     return u1, params.s * u2 + params.t * u3, params.t * u2
 
 

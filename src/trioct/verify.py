@@ -19,7 +19,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import chain
+from typing import Callable, Iterator, Mapping
 
 from .genfunc import build_gf, gf_expand, gf_numerator
 from .octonion import Octonion
@@ -33,6 +34,7 @@ from .sequences import (
     preset_lookup,
     prefix_sum,
     companion_identity,
+    terms,
 )
 
 EXACT_CATEGORIES = (
@@ -256,11 +258,12 @@ def _rel_residual(approx: Scalar | Octonion, exact: Scalar | Octonion) -> float:
     return abs(as_complex(approx) - e) / max(1.0, abs(e))
 
 
-def _exact_pair(result: CategoryResult, lhs: Scalar | Octonion, rhs: Scalar | Octonion) -> None:
+def _exact_pair(result: CategoryResult, lhs: object, rhs: object) -> None:
     if lhs == rhs:
         result.record_exact(True)
     else:
-        result.record_exact(False, _rel_residual(lhs, rhs))
+        # a coefficient tuple (genfunc_table) has no size to measure a residual by
+        result.record_exact(False, 0.0 if isinstance(rhs, tuple) else _rel_residual(lhs, rhs))
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -274,140 +277,100 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     results = {name: CategoryResult() for name in CATEGORIES}
     for preset, params in cases:
-        ctx = OctSequenceContext(params)
-        _run_exact(preset, ctx, results, config)
-        if preset is None:
-            for name in NUMERIC_CATEGORIES:
-                results[name].skip()
-        else:
-            _run_numeric(ctx, results, config)
+        for name, checks in _checks(preset, OctSequenceContext(params), config):
+            res = results[name]
+            if checks is None:
+                res.skip()
+            elif name in NUMERIC_CATEGORIES:
+                tol = config.tolerance(name)
+                for residual in checks:
+                    res.record_numeric(residual, tol)
+            else:
+                for lhs, rhs in checks:
+                    _exact_pair(res, lhs, rhs)
 
-    errata = [
-        _sign_erratum_note(cases, config),
-        _genfunc_erratum_note(),
-    ]
+    errata = [_sign_erratum_note(cases, config), _genfunc_erratum_note()]
     return VerificationReport(categories=results, errata=errata, seed=config.seed)
 
 
-def _run_exact(
-    preset: str | None,
-    ctx: OctSequenceContext,
-    results: dict[str, CategoryResult],
-    config: SuiteConfig,
-) -> None:
-    params = ctx.params
-    n_max = config.n_max
+def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> Iterator[tuple]:
+    """Yield (category, checks) for one family, in CATEGORIES order.
+
+    The checks of an exact category are (lhs, rhs) pairs, those of a numeric
+    one relative residuals; they are None when the family is outside the
+    category's hypotheses: delta = 0 for the sum formulas, not a preset for
+    the tabulated references and the root-based forms, and a cubic without
+    the root data (ctx.roots raises RegimeError) for the root-based forms.
+    """
+    params, n_max = ctx.params, config.n_max
+    summable = params.delta != 0
+    tabulated = preset is not None
+    try:
+        rooted = tabulated and ctx.roots is not None
+    except RegimeError:
+        rooted = False
+    window = range(n_max + 1)
     # direct sums O(0)+...+O(n), shared by the octonion_sum and sum_table checks
     sums = ctx.oct_prefix_sums(n_max)
 
-    res = results["recurrence"]
-    for n in range(1, n_max + 1):
-        lhs, rhs = ctx.recurrence_check(n)
-        _exact_pair(res, lhs, rhs)
-
-    res = results["companion_identity"]
-    for n in range(2, n_max + 1):
-        lhs, rhs = companion_identity(params, n)
-        _exact_pair(res, lhs, rhs)
-
-    if params.delta == 0:
-        results["scalar_sum"].skip()
-        results["octonion_sum"].skip()
+    yield "recurrence", (ctx.recurrence_check(n) for n in range(1, n_max + 1))
+    yield "companion_identity", (companion_identity(params, n) for n in range(2, n_max + 1))
+    yield "scalar_sum", (
+        ((partial_sum_formula(params, n), prefix_sum(params, n)) for n in window) if summable else None
+    )
+    yield "octonion_sum", ((ctx.sum_octonions(n), sums[n]) for n in window) if summable else None
+    if not tabulated:
+        yield "genfunc_table", None
     else:
-        res = results["scalar_sum"]
-        for n in range(n_max + 1):
-            _exact_pair(res, partial_sum_formula(params, n), prefix_sum(params, n))
-        res = results["octonion_sum"]
-        for n in range(n_max + 1):
-            _exact_pair(res, ctx.sum_octonions(n), sums[n])
+        numerator = gf_numerator(ctx)
+        table = []
+        for slot, printed in enumerate(REFERENCE_GENFUNC_TABLE[preset]):
+            computed = numerator.slot_coefficients(slot)
+            misprint = GENFUNC_MISPRINTS.get((preset, slot))
+            # a listed misprint: the computation must reproduce the corrected
+            # coefficients, and the tabulated entry must differ from them
+            if misprint is None:
+                table.append((computed, printed))
+            else:
+                table.append(((computed, computed != printed), (misprint, True)))
+        yield "genfunc_table", table
+    yield "genfunc_roundtrip", zip(gf_expand(build_gf(ctx), min(n_max + 1, 50)), map(ctx.oct_term, window))
+    if not tabulated:
+        yield "sum_table", None
+    else:
+        constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
+        form = REFERENCE_SUM_FORMS[preset]
+        yield "sum_table", [
+            (sum_correction(params), -constant), *((form(ctx, n, constant), sums[n]) for n in window)
+        ]
+    shifts = range(3, config.m_max + 1)
+    yield "shift_formula", chain(
+        (ctx.shift_formula(n, m) for m in shifts for n in range(min(n_max, 50) + 1)),
+        (
+            pair
+            for m in shifts if tabulated
+            for pair in zip(REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m), ctx.shift_coefficients(m))
+        ),
+    )
 
-    _run_genfunc_table(preset, ctx, results["genfunc_table"])
+    def upto(name: str) -> range:
+        # the index window inside which the closed form is contracted to hold
+        return range(min(n_max, NUMERIC_WINDOWS[name]) + 1)
 
-    res = results["genfunc_roundtrip"]
-    count = min(n_max + 1, 50)
-    for n, coeff in enumerate(gf_expand(build_gf(ctx), count)):
-        _exact_pair(res, coeff, ctx.oct_term(n))
-
-    _run_sum_table(preset, ctx, results["sum_table"], config, sums)
-
-    res = results["shift_formula"]
-    for m in range(3, config.m_max + 1):
-        for n in range(min(n_max, 50) + 1):
-            lhs, rhs = ctx.shift_formula(n, m)
-            _exact_pair(res, lhs, rhs)
-        if preset is not None:
-            pattern = REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m)
-            for tabulated, computed in zip(pattern, ctx.shift_coefficients(m)):
-                _exact_pair(res, tabulated, computed)
-
-
-def _run_genfunc_table(preset: str | None, ctx: OctSequenceContext, res: CategoryResult) -> None:
-    if preset is None:
-        res.skip()
-        return
-    numerator = gf_numerator(ctx)
-    for slot in range(8):
-        computed = numerator.slot_coefficients(slot)
-        tabulated = REFERENCE_GENFUNC_TABLE[preset][slot]
-        misprint = GENFUNC_MISPRINTS.get((preset, slot))
-        if misprint is not None:
-            # the tabulated entry is a known misprint: the computation must
-            # reproduce the corrected coefficients, not the printed ones
-            res.record_exact(computed == misprint and computed != tabulated)
-        else:
-            res.record_exact(computed == tabulated)
-
-
-def _run_sum_table(
-    preset: str | None,
-    ctx: OctSequenceContext,
-    res: CategoryResult,
-    config: SuiteConfig,
-    sums: list[Octonion],
-) -> None:
-    if preset is None:
-        res.skip()
-        return
-    constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
-    _exact_pair(res, sum_correction(ctx.params), -constant)
-    form = REFERENCE_SUM_FORMS[preset]
-    for n in range(config.n_max + 1):
-        _exact_pair(res, form(ctx, n, constant), sums[n])
-
-
-def _run_numeric(
-    ctx: OctSequenceContext,
-    results: dict[str, CategoryResult],
-    config: SuiteConfig,
-) -> None:
-    try:
-        roots = ctx.roots
-    except RegimeError:
-        for name in NUMERIC_CATEGORIES:
-            results[name].skip()
-        return
-
-    res = results["binet_scalar"]
-    tol = config.tolerance("binet_scalar")
-    for n in range(min(config.n_max, NUMERIC_WINDOWS["binet_scalar"]) + 1):
-        for which, exact in (("v", ctx.seq(n)), ("u", ctx.useq(n))):
-            res.record_numeric(_rel_residual(ctx.binet_term(n, which), exact), tol)
-
-    res = results["binet_octonion"]
-    tol = config.tolerance("binet_octonion")
-    for n in range(min(config.n_max, NUMERIC_WINDOWS["binet_octonion"]) + 1):
-        res.record_numeric(_rel_residual(ctx.oct_binet(n), ctx.oct_term(n)), tol)
-
-    res = results["norm_formula"]
-    tol = config.tolerance("norm_formula")
-    for n in range(min(config.n_max, NUMERIC_WINDOWS["norm_formula"]) + 1):
-        res.record_numeric(_rel_residual(ctx.norm_formula_complex(n), ctx.norm_sq(n)), tol)
-
-    res = results["quad_approx"]
-    tol = config.tolerance("quad_approx")
-    for n in range(min(config.n_max, NUMERIC_WINDOWS["quad_approx"]) + 1):
-        for line in ("alpha", "omega1", "omega2"):
-            res.record_numeric(ctx.quad_residual(n, line), tol)
+    yield "binet_scalar", (
+        _rel_residual(ctx.binet_term(n, which), exact)
+        for n, v, u in zip(upto("binet_scalar"), terms(params), terms(params, companion=True))
+        for which, exact in (("v", v), ("u", u))
+    ) if rooted else None
+    yield "binet_octonion", (
+        _rel_residual(ctx.oct_binet(n), ctx.oct_term(n)) for n in upto("binet_octonion")
+    ) if rooted else None
+    yield "norm_formula", (
+        _rel_residual(ctx.norm_formula_complex(n), ctx.norm_sq(n)) for n in upto("norm_formula")
+    ) if rooted else None
+    yield "quad_approx", (
+        ctx.quad_residual(n, line) for n in upto("quad_approx") for line in ("alpha", "omega1", "omega2")
+    ) if rooted else None
 
 
 def _sign_erratum_note(

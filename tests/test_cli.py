@@ -120,12 +120,21 @@ def _cli_process(*argv: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl", "text"])
 def test_seq_from_a_deep_start_matches_the_walk_from_zero(fmt):
-    deep = _cli_process("seq", "--preset", "tribonacci", "--n", "2990..3010", "--format", fmt)
-    full = _cli_process("seq", "--preset", "tribonacci", "--n", "0..3010", "--format", fmt)
-    assert deep.returncode == full.returncode == 0
-    header = b"n,value\n" if fmt == "csv" else b""
-    rows = full.stdout.splitlines(keepends=True)[-21:]
-    assert deep.stdout == header + b"".join(rows)
+    # seq and oct rows both start from the jump to the first index
+    for command, csv_header in (("seq", b"n,value\n"), ("oct", b"n,e0,e1,e2,e3,e4,e5,e6,e7\n")):
+        deep = _cli_process(command, "--preset", "tribonacci", "--n", "2990..3010", "--format", fmt)
+        full = _cli_process(command, "--preset", "tribonacci", "--n", "0..3010", "--format", fmt)
+        assert deep.returncode == full.returncode == 0
+        header = csv_header if fmt == "csv" else b""
+        rows = full.stdout.splitlines(keepends=True)[-21:]
+        assert deep.stdout == header + b"".join(rows)
+
+
+def test_oct_row_of_a_bounded_family_at_a_huge_index():
+    # x^3 = 1 here, so the terms repeat with period 3 and the jump's powers stay small
+    proc = _cli_process("oct", "--r=0", "--s=0", "--t=1", "--v0=1", "--v1=2", "--v2=3", "--n", str(10**12))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == b"n,e0,e1,e2,e3,e4,e5,e6,e7\n1000000000000,2,3,1,2,3,1,2,3\n"
 
 
 @pytest.mark.parametrize("command", ["seq", "oct", "sum"])

@@ -9,6 +9,7 @@ from trioct import (
     VerificationReport,
     run_suite,
 )
+from trioct import verify
 from trioct.verify import EXACT_CATEGORIES, NUMERIC_CATEGORIES
 
 
@@ -71,6 +72,24 @@ def test_tampered_sum_constant_fails():
     # every other category is untouched by the tampering
     others = [c for name, c in report.categories.items() if name != "sum_table"]
     assert all(c.failed == 0 for c in others)
+
+
+def test_tampered_genfunc_slot_fails_with_zero_residual(monkeypatch):
+    tribonacci = list(verify.REFERENCE_GENFUNC_TABLE["tribonacci"])
+    tribonacci[0] = (0, 2)
+    monkeypatch.setitem(verify.REFERENCE_GENFUNC_TABLE, "tribonacci", tuple(tribonacci))
+    table = run_suite(SuiteConfig(n_max=5, m_max=3)).categories["genfunc_table"]
+    # a coefficient tuple has no residual: the failure is counted at residual 0
+    assert (table.run, table.failed, table.max_rel_residual) == (32, 1, 0.0)
+
+
+def test_listed_misprint_must_differ_from_the_table(monkeypatch):
+    # the listed slot tabulated as the computed value: the listing no longer holds
+    jacobsthal = list(verify.REFERENCE_GENFUNC_TABLE["third_order_jacobsthal"])
+    jacobsthal[2] = verify.GENFUNC_MISPRINTS["third_order_jacobsthal", 2]
+    monkeypatch.setitem(verify.REFERENCE_GENFUNC_TABLE, "third_order_jacobsthal", tuple(jacobsthal))
+    table = run_suite(SuiteConfig(n_max=5, m_max=3)).categories["genfunc_table"]
+    assert (table.run, table.failed) == (32, 1)
 
 
 def test_randomized_sets_pass_exact_categories():
