@@ -12,7 +12,6 @@ reports at least one failing check.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import contextmanager
@@ -20,12 +19,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .genfunc import build_gf, format_polynomial, gf_numerator
-from .octseq import OctSequenceContext
+# the tables need only these two layers; the other commands import theirs when run
 from .scalars import RegimeError, VariantError, format_scalar, parse_exact
-from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, seq_term, terms
-from .cubic import cubic_roots
-from .verify import SuiteConfig, run_suite
+from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, seq_term, sums, terms
 
 
 class CliError(Exception):
@@ -175,13 +171,19 @@ def _exact_digits() -> Iterator[None]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # seq prints the terms, oct the lifts O(n), sum the direct prefix sums O(0) + ... + O(n)
+    # seq prints the terms, oct the lifts O(n), sum the prefix sums O(0) + ... + O(n)
     params = _resolve_params(args)
     lo, hi = _table_range(args.n, params)
     with _exact_digits():
         if args.command == "sum":
-            ctx = OctSequenceContext(params)
-            rows = [(n, ctx.oct_prefix_sum(n).serialize()) for n in range(lo, hi + 1)]
+            # component l of row n is S(n+1+l) - S(l), S(k) = term(0) + ... + term(k-1):
+            # S(lo+1 .. hi+8) from the jump to lo + 1, S(0 .. 7) from the start
+            head = list(islice(sums(params), 8))
+            tail = list(islice(sums(params, start=lo + 1), hi - lo + 8))
+            rows = [
+                (n, [format_scalar(tail[n - lo + l] - head[l]) for l in range(8)])
+                for n in range(lo, hi + 1)
+            ]
         else:
             # row n is terms n .. n + width - 1, read from the jump to lo and formatted once
             width = 1 if args.command == "seq" else 8
@@ -193,6 +195,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         header = "n,value" if seq else "n," + ",".join(f"e{l}" for l in range(8))
         text = header + "\n" + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in rows)
     elif args.format == "jsonl":
+        import json
+
         key = "value" if seq else "components"
         text = "".join(
             json.dumps({"n": n, key: comps[0] if seq else list(comps)}) + "\n" for n, comps in rows
@@ -206,6 +210,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_roots(args: argparse.Namespace) -> int:
+    from .cubic import cubic_roots
+
     params = _resolve_params(args)
     roots = cubic_roots(params)
     lines = [
@@ -222,6 +228,9 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 
 def _cmd_genfunc(args: argparse.Namespace) -> int:
+    from .genfunc import build_gf, format_polynomial, gf_numerator
+    from .octseq import OctSequenceContext
+
     ctx = OctSequenceContext(_resolve_params(args))
     numerator = gf_numerator(ctx)
     gf = build_gf(ctx)
@@ -235,6 +244,8 @@ def _cmd_genfunc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SuiteConfig, run_suite
+
     presets = PRESET_NAMES if args.preset == "all" else (args.preset.replace("-", "_"),)
     config = SuiteConfig(
         presets=presets,

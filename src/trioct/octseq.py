@@ -18,9 +18,9 @@ from typing import Iterator
 
 from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
-from .scalars import INT, RATIONAL, RegimeError, Scalar, as_complex, zero
+from .scalars import INT, RATIONAL, RegimeError, Scalar, as_complex
 from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights
-from .sequences import sum_constant, terms
+from .sequences import sum_constant, sums, terms
 
 
 def power_octonion(x: complex) -> Octonion:
@@ -51,7 +51,7 @@ class OctSequenceContext:
         # each cache: the values so far and the generator that continues them
         self._v = ([], terms(params))
         # _s holds the running sums: _s[k] = term(0) + ... + term(k-1)
-        self._s = ([], accumulate(terms(params), initial=zero(self._kind)))
+        self._s = ([], sums(params))
         self._correction: tuple[Scalar, ...] | None = None
         self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
         self._roots: CubicRoots | None = None

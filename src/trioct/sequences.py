@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .scalars import (
@@ -107,6 +107,7 @@ class _CubicQuotient:
     def __init__(self, params: RecurrenceParams):
         r, s, t = self.r, self.s, self.t = params.r, params.s, params.t
         kind = params.variant
+        self.zero = (zero(kind),) * 3
         self.one = (one(kind), zero(kind), zero(kind))
         # With d the common denominator of r, s, t and b = d*max(|r|, |s|, |t|),
         # d**k * x**k has integer coefficients of at most (d + b)**k, so x**k
@@ -115,6 +116,18 @@ class _CubicQuotient:
         d = math.lcm(r.denominator, s.denominator, t.denominator)
         b = int(d * max(abs(r), abs(s), abs(t)))
         self.fits = (MAX_TERM_BITS // 2 - 2) // ((d + b).bit_length() + d.bit_length())
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """a*b, reduced mod f, in nine big products."""
+        r, s, t = self.r, self.s, self.t
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        d4 = a2 * b2
+        # fold x^4 = r*x^3 + s*x^2 + t*x, then x^3 = r*x^2 + s*x + t
+        d3 = a1 * b2 + a2 * b1 + r * d4
+        d2 = a0 * b2 + a1 * b1 + a2 * b0 + s * d4
+        d1 = a0 * b1 + a1 * b0 + t * d4
+        return a0 * b0 + t * d3, d1 + s * d3, d2 + r * d3
 
     def square(self, a: tuple) -> tuple:
         """a*a, reduced mod f, in six big products."""
@@ -146,16 +159,40 @@ class _CubicQuotient:
         measure = n >> 1 > self.fits
         for bit in bin(n)[2:]:
             if measure:
-                bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in c)
-                if bits > MAX_TERM_BITS:
-                    raise RegimeError(
-                        f"term {n} is past the size cap: the jump to it would build coefficients "
-                        f"of about {_digits(bits):,} digits, more than {_digits(MAX_TERM_BITS):,}"
-                    )
+                _check_size(n, c)
             c = self.square(c)
             if bit == "1":
                 c = self.shift(c)
         return c
+
+    def series(self, n: int) -> tuple:
+        """1 + x + ... + x^(n-1) mod f in O(log n) products; RegimeError past MAX_TERM_BITS.
+
+        With G = 1 + ... + x^(k-1) and P = x^k, doubling k gives G + G*P
+        and P*P; a 1 bit then gives G + P and x*P.  Applied to the seeds,
+        G is the running sum term(0) + ... + term(n-1) (see sums).  P and G
+        are measured before every squaring, as in xpow; a series runs once
+        per command, so no size bound skips the measuring.
+        """
+        g, p = self.zero, self.one
+        for bit in bin(n)[2:]:
+            _check_size(n, g, p)
+            g = tuple(map(add, g, self.mul(g, p)))
+            p = self.square(p)
+            if bit == "1":
+                g = tuple(map(add, g, p))
+                p = self.shift(p)
+        return g
+
+
+def _check_size(n: int, *elements: tuple) -> None:
+    """RegimeError when squaring or multiplying the elements could pass MAX_TERM_BITS."""
+    bits = 2 * max(x.numerator.bit_length() + x.denominator.bit_length() for c in elements for x in c)
+    if bits > MAX_TERM_BITS:
+        raise RegimeError(
+            f"term {n} is past the size cap: the jump to it would build coefficients "
+            f"of about {_digits(bits):,} digits, more than {_digits(MAX_TERM_BITS):,}"
+        )
 
 
 def terms(params: RecurrenceParams, companion: bool = False, start: int = 0) -> Iterator[Scalar]:
@@ -181,6 +218,19 @@ def terms(params: RecurrenceParams, companion: bool = False, start: int = 0) -> 
         window.append(sum(map(mul, c, seeds)))
         c = ring.shift(c)
     return _stepped(params, *window)
+
+
+def sums(params: RecurrenceParams, start: int = 0) -> Iterator[Scalar]:
+    """Yield the running sums S(start), S(start+1), ... exactly, S(k) = term(0) + ... + term(k-1).
+
+    S(start) is the seeds weighted by 1 + x + ... + x^(start-1) mod f
+    (RegimeError past MAX_TERM_BITS); from there the terms, jumped to as
+    in terms, are added one by one.  It holds for every family, delta = 0
+    included, and keeps the parameters' scalar variant.
+    """
+    g = _CubicQuotient(params).series(_check_index(start))
+    first = sum(map(mul, g, (params.v0, params.v1, params.v2)))
+    return accumulate(terms(params, start=start), initial=first)
 
 
 def _stepped(params: RecurrenceParams, a: Scalar, b: Scalar, c: Scalar) -> Iterator[Scalar]:

@@ -70,7 +70,7 @@ def test_sum_csv(capsys):
     assert out.splitlines()[-1] == "2,2,4,7,13,24,44,81,149"
 
 
-def test_sum_delta_zero_falls_back_to_direct(capsys):
+def test_sum_delta_zero_rows_are_the_running_sums(capsys):
     code, out, _ = run_cli(
         capsys, "sum",
         "--r", "1", "--s", "1", "--t", "-1", "--v0", "0", "--v1", "1", "--v2", "1",
@@ -120,8 +120,10 @@ def _cli_process(*argv: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl", "text"])
 def test_seq_from_a_deep_start_matches_the_walk_from_zero(fmt):
-    # seq and oct rows both start from the jump to the first index
-    for command, csv_header in (("seq", b"n,value\n"), ("oct", b"n,e0,e1,e2,e3,e4,e5,e6,e7\n")):
+    # seq and oct rows start from the jump to the first index, sum rows from
+    # the jump of the running sums to the index after it
+    oct_header = b"n,e0,e1,e2,e3,e4,e5,e6,e7\n"
+    for command, csv_header in (("seq", b"n,value\n"), ("oct", oct_header), ("sum", oct_header)):
         deep = _cli_process(command, "--preset", "tribonacci", "--n", "2990..3010", "--format", fmt)
         full = _cli_process(command, "--preset", "tribonacci", "--n", "0..3010", "--format", fmt)
         assert deep.returncode == full.returncode == 0
@@ -135,6 +137,16 @@ def test_oct_row_of_a_bounded_family_at_a_huge_index():
     proc = _cli_process("oct", "--r=0", "--s=0", "--t=1", "--v0=1", "--v1=2", "--v2=3", "--n", str(10**12))
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == b"n,e0,e1,e2,e3,e4,e5,e6,e7\n1000000000000,2,3,1,2,3,1,2,3\n"
+
+
+def test_sum_row_of_a_bounded_family_at_a_huge_index():
+    n = 10**12
+    proc = _cli_process("sum", "--r=0", "--s=0", "--t=1", "--v0=1", "--v1=2", "--v2=3", "--n", str(n))
+    assert proc.returncode == 0 and proc.stderr == b""
+    # the terms repeat 1, 2, 3: component l sums the n + 1 terms from index l
+    period = (1, 2, 3)
+    row = [(n + 1) // 3 * 6 + sum(period[(l + k) % 3] for k in range((n + 1) % 3)) for l in range(8)]
+    assert proc.stdout == b"n,e0,e1,e2,e3,e4,e5,e6,e7\n" + f"{n},{','.join(map(str, row))}\n".encode()
 
 
 @pytest.mark.parametrize("command", ["seq", "oct", "sum"])

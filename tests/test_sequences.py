@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,7 @@ from trioct import (
     seq_term,
     u_term,
 )
-from trioct.sequences import MAX_TERM_BITS, PRESETS, _CubicQuotient, terms
+from trioct.sequences import MAX_TERM_BITS, PRESETS, _CubicQuotient, sums, terms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -222,6 +222,24 @@ def test_terms_rejects_negative_start():
         terms(preset_lookup("tribonacci"), companion=True, start=-3)
 
 
+# the running sums also hold at delta = 0 for a rational family, (x-1)(x^2 - x/2 - 1/2)
+SUM_FAMILIES = [*JUMP_FAMILIES, RecurrenceParams(*map(Fraction, ("1/2", "1/2", "0", "2", "-1", "3")))]
+
+
+@pytest.mark.parametrize("params", SUM_FAMILIES)
+def test_sums_from_a_start_match_the_running_sums_from_zero(params):
+    running = list(accumulate(islice(terms(params), 160), initial=0))
+    for start in range(151):
+        got = list(islice(sums(params, start), 10))
+        assert got == running[start : start + 10], start
+        assert all(type(x) is type(params.r) for x in got), start
+
+
+def test_sums_rejects_negative_start():
+    with pytest.raises(ValueError):
+        sums(preset_lookup("tribonacci"), start=-1)
+
+
 def test_jump_admits_tribonacci_at_three_hundred_thousand():
     params = preset_lookup("tribonacci")
     window = list(islice(terms(params, start=299_997), 4))
@@ -282,6 +300,22 @@ def test_square_matches_product_then_reduce(params, data):
         got = ring.square(c)
         assert got == _product_mod_f(params, c, c), c
         assert all(type(x) is kind for x in got), c
+
+
+@pytest.mark.parametrize("params", DISTINCT_FAMILIES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_product_then_reduce(params, data):
+    ring = _CubicQuotient(params)
+    kind = type(params.r)
+    coefficients = int_coefficients if kind is int else rational_coefficients
+    triple = st.tuples(coefficients, coefficients, coefficients)
+    a, b = data.draw(triple), data.draw(triple)
+    for x, y in ((a, b), (b, a), (a, ring.one), (ring.zero, b)):
+        got = ring.mul(x, y)
+        assert got == _product_mod_f(params, x, y), (x, y)
+        assert all(type(c) is kind for c in got), (x, y)
+    assert ring.mul(a, a) == ring.square(a)
 
 
 def _run(code: str) -> subprocess.CompletedProcess:
@@ -376,3 +410,44 @@ def test_skipped_size_checks_would_have_passed(params):
         raised.append(n)
     # both ways are covered: checks skipped (n >> 1 <= fits) and raises
     assert _CubicQuotient(params).fits >= 1 and raised
+
+
+def _series_measures(params, top):
+    # the bits the series check measures before each squaring when it holds
+    # G = 1 + ... + x^(m-1) and P = x^m, for m = 0 .. top, built by shifting
+    # and adding
+    ring = _CubicQuotient(params)
+    g, p, measured = ring.zero, ring.one, []
+    for _ in range(top + 1):
+        measured.append(2 * max(x.numerator.bit_length() + x.denominator.bit_length() for x in (*g, *p)))
+        g, p = tuple(a + b for a, b in zip(g, p)), ring.shift(p)
+    return measured
+
+
+@pytest.mark.parametrize(
+    "params, indices",
+    [
+        (RecurrenceParams(2**50000, -3, 1, 0, 1, 1), range(28)),
+        # the rational products reduce ~10^5-digit gcds, so past the small
+        # indices only the last below the cap (15), the first past it (16)
+        # and the largest (27) run
+        (RecurrenceParams(*(Fraction(1, 2**50000), *map(Fraction, (0, 0, 0, 1, 1)))), [*range(10), 15, 16, 27]),
+    ],
+)
+def test_series_measures_before_every_squaring(params, indices):
+    # huge coefficients put the cap within a few squarings; before each one
+    # the series holds m = the bits of n read so far
+    measured = _series_measures(params, max(indices) >> 1)
+    raised = []
+    for n in indices:
+        digits = bin(n)[2:]
+        over = [b for b in (measured[n >> (len(digits) - k)] for k in range(len(digits))) if b > MAX_TERM_BITS]
+        if not over:
+            _CubicQuotient(params).series(n)
+            continue
+        with pytest.raises(RegimeError) as exc:
+            sums(params, n)
+        assert f"term {n} " in str(exc.value) and f" {int(over[0] * math.log10(2)):,} digits" in str(exc.value)
+        raised.append(n)
+    # both ways are covered
+    assert 0 < len(raised) < len(indices)
