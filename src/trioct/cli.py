@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_range(text: str, params: RecurrenceParams) -> tuple[int, int]:
-    """--n as (lo, hi); RegimeError when the rows would pass the size cap."""
+def _table_range(text: str, params: RecurrenceParams, width: int) -> tuple[int, int]:
+    """--n as (lo, hi); RegimeError when rows of `width` terms would pass the size cap."""
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -95,8 +95,8 @@ def _table_range(text: str, params: RecurrenceParams) -> tuple[int, int]:
         raise CliError(f"range {text!r} must be nonnegative and nondecreasing")
     if b > sys.maxsize:
         raise CliError(f"range {text!r} goes past the largest supported index, {sys.maxsize}")
-    # the last row reads term(hi + 7), its largest; the jump to it checks the cap
-    seq_term(params, b + 7)
+    # the last row reads term(hi + width - 1), its largest; the jump to it checks the cap
+    seq_term(params, b + width - 1)
     return a, b
 
 
@@ -173,7 +173,10 @@ def _exact_digits() -> Iterator[None]:
 def _cmd_table(args: argparse.Namespace) -> int:
     # seq prints the terms, oct the lifts O(n), sum the prefix sums O(0) + ... + O(n)
     params = _resolve_params(args)
-    lo, hi = _table_range(args.n, params)
+    # a seq row is one value, an oct or sum row eight components
+    seq = args.command == "seq"
+    width = 1 if seq else 8
+    lo, hi = _table_range(args.n, params, width)
     with _exact_digits():
         if args.command == "sum":
             # component l of row n is S(n+1+l) - S(l), S(k) = term(0) + ... + term(k-1):
@@ -186,11 +189,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             ]
         else:
             # row n is terms n .. n + width - 1, read from the jump to lo and formatted once
-            width = 1 if args.command == "seq" else 8
             values = [format_scalar(v) for v in islice(terms(params, start=lo), hi - lo + width)]
             rows = [(n, values[n - lo : n - lo + width]) for n in range(lo, hi + 1)]
-    # a seq row is one value, an oct or sum row eight components
-    seq = args.command == "seq"
     if args.format == "csv":
         header = "n,value" if seq else "n," + ",".join(f"e{l}" for l in range(8))
         text = header + "\n" + "".join(f"{n}," + ",".join(comps) + "\n" for n, comps in rows)

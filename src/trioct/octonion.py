@@ -4,14 +4,18 @@ Elements live on the ordered basis (e0, e1, ..., e7) with e0 the identity
 and every other basis unit squaring to -1.  Basis products are stored as a
 literal signed lookup table so all 64 cases can be audited entry by entry;
 the table is validated against its structural invariants at import time.
-The table is the only source of the product.  For each output component
-the exact product sums a list of signed ``(i, j)`` terms that is derived from
-the table at import and checked there to take one term from every row.
-Integer products accumulate those sums in plain ints; rational products do
-the same on numerators scaled to a common denominator and build one
-normalised Fraction per component.  Complex products sum the same lists in
-row order and skip a term when either factor is zero, which fixes the order
-and the rounding of the floating-point sums.
+The table is the only source of the product: both plans below are derived
+from it at import and checked there.  Integer products run on plain ints;
+rational products run the same code on numerators scaled to a common
+denominator and build one normalised Fraction per component.  When both
+operands have a component of at least 384 bits (``_WIDE``), a product takes
+36 big products instead of 64.  e_i*e_j and e_j*e_i land in the same slot,
+with equal signs when 0 is in {i, j} and opposite signs otherwise, so the
+eight a_l*b_l and one product per unordered pair {i, j} give every slot.
+Below the cutoff each slot sums its eight signed ``(i, j)`` terms, 64 in
+all, which costs less there.  Complex products sum the same 64 terms in
+row order and skip a term when either factor is zero, which fixes the
+order and the rounding of the floating-point sums.
 
 All values are immutable after construction and every operation is a pure
 function, so octonions are safe to share freely between threads.
@@ -110,9 +114,60 @@ def _slot_terms(table: MultiplicationTable) -> tuple[tuple[_Terms, _Terms], ...]
 
 _SLOTS = _slot_terms(MULTIPLICATION_TABLE)
 
+# the indices of the products a slot adds, then of those it subtracts
+_Signed = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _pair_plan(table: MultiplicationTable) -> tuple[tuple[tuple[int, int, bool], ...], tuple[_Signed, ...]]:
+    """The pairs (i, j, same), i < j, and per slot the products it adds and subtracts.
+
+    Products 0..7 are d_l = a_l*b_l; product 8 + m belongs to pair m.  When
+    e_i*e_j and e_j*e_i have the same sign it is (a_i + a_j)*(b_i + b_j) =
+    a_i*b_j + a_j*b_i + d_i + d_j, otherwise (a_i + a_j)*(b_j - b_i) =
+    a_i*b_j - a_j*b_i - d_i + d_j.
+    """
+    pairs: list[tuple[int, int, bool]] = []
+    slots: list[tuple[list, list]] = [([], []) for _ in range(8)]
+    for i in range(8):
+        if table.index[i][i] != 0:
+            raise ValueError(f"e{i}*e{i} does not land in slot 0")
+        slots[0][table.sign[i][i] < 0].append(i)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            k, sign = table.index[i][j], table.sign[i][j]
+            if table.index[j][i] != k:
+                raise ValueError(f"e{i}*e{j} and e{j}*e{i} land in different slots")
+            same = table.sign[j][i] == sign
+            if same != (i == 0):
+                raise ValueError(f"e{i}*e{j} and e{j}*e{i} have the wrong relative sign")
+            pos, neg = slots[k] if sign > 0 else slots[k][::-1]
+            pos.append(8 + len(pairs))
+            pairs.append((i, j, same))
+            if same:
+                neg += [i, j]
+            else:
+                pos.append(i)
+                neg.append(j)
+    for k in range(1, 8):
+        if sum(table.index[i][j] == k for i, j, _ in pairs) != 4:
+            raise ValueError(f"slot {k} does not get exactly four pairs")
+    return tuple(pairs), tuple((tuple(pos), tuple(neg)) for pos, neg in slots)
+
+
+_PAIRS, _PAIR_SLOTS = _pair_plan(MULTIPLICATION_TABLE)
+
+# An operand is wide when one of its components has at least 384 bits.  The
+# 36 products pay for their extra additions only when both operands are: on
+# random ints (2 CPUs, Python 3.11.7) they took 1.10x the time of the 64
+# terms at 256 bits, 1.00x at 320, 0.96x at 384, 0.62x at 2,636 bits, and
+# 1.34x at 2,636 x 16 bits.
+_WIDE = 1 << 383
+
 
 def _int_slots(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The eight components of the product of two integer component tuples."""
+    if (max(a) >= _WIDE or min(a) <= -_WIDE) and (max(b) >= _WIDE or min(b) <= -_WIDE):
+        return _paired_slots(a, b)
     out = []
     for pos, neg in _SLOTS:
         acc = 0
@@ -120,6 +175,21 @@ def _int_slots(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             acc += a[i] * b[j]
         for i, j in neg:
             acc -= a[i] * b[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _paired_slots(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """`_int_slots` in 36 big products: the d_l, then one product per pair."""
+    t = [x * y for x, y in zip(a, b)]
+    t += [(a[i] + a[j]) * (b[i] + b[j] if same else b[j] - b[i]) for i, j, same in _PAIRS]
+    out = []
+    for pos, neg in _PAIR_SLOTS:
+        acc = 0
+        for m in pos:
+            acc += t[m]
+        for m in neg:
+            acc -= t[m]
         out.append(acc)
     return tuple(out)
 

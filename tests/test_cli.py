@@ -155,7 +155,9 @@ def test_index_past_the_size_cap_fails_fast(command, text):
     proc = _cli_process(command, "--preset", "tribonacci", "--n", text)
     assert proc.returncode == 1 and proc.stdout == b""
     assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"trioct: error: term 1000000000007 is past the size cap")
+    # a seq row reads only term(n); an oct or sum row reads up to term(n + 7)
+    last = 10**12 if command == "seq" else 10**12 + 7
+    assert proc.stderr.startswith(f"trioct: error: term {last} is past the size cap".encode())
 
 
 def test_roots_labels(capsys):

@@ -15,6 +15,7 @@ from trioct import (
     VariantError,
     basis_product,
 )
+from trioct.octonion import _WIDE, MultiplicationTable, _pair_plan
 
 E = [Octonion.basis(i) for i in range(8)]
 
@@ -200,23 +201,35 @@ def _exact_form(value):
     return type(value), value
 
 
-def _pairs(zero, scalars):
+def _octonions(zero, scalars):
     # zeros drawn often, so sparse operands and skipped terms are covered
-    octonions = st.builds(Octonion, st.tuples(*[st.one_of(st.just(zero), scalars)] * 8))
+    return st.builds(Octonion, st.tuples(*[st.one_of(st.just(zero), scalars)] * 8))
+
+
+def _pairs(zero, scalars):
+    octonions = _octonions(zero, scalars)
     return st.tuples(octonions, octonions)
 
 
+_WIDE_INTS = st.integers(-(2**3000), 2**3000)
 _SIGNED_ZEROS = st.sampled_from([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
 _NEG_MIXED = Octonion(tuple(Fraction(-k, d) for k, d in enumerate((1, 2, 3, 5, 7, 11, 12, 30))))
+# widest components just below and exactly at the bound that selects the 36-product plan
+_BELOW_CUTOFF = Octonion(tuple((-1) ** k * (_WIDE - 1 - k) for k in range(8)))
+_AT_CUTOFF = Octonion((0, 5, -_WIDE, 0, 1, -7, 3, _WIDE // 2))
+_WIDE_OPERAND = Octonion(tuple((-1) ** (k // 3) * (3 ** 1900 + k * 7 ** 500) for k in range(8)))
 
 
 @given(
     st.one_of(
         _pairs(0, st.integers()),
+        _pairs(0, _WIDE_INTS),
+        st.tuples(_octonions(0, _WIDE_INTS), _octonions(0, st.integers(-9, 9))),
         _pairs(
             Fraction(0),
             st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
         ),
+        _pairs(Fraction(0), st.builds(Fraction, _WIDE_INTS, st.integers(1, 10**6))),
         _pairs(
             0j,
             st.one_of(
@@ -232,6 +245,12 @@ _NEG_MIXED = Octonion(tuple(Fraction(-k, d) for k, d in enumerate((1, 2, 3, 5, 7
 @example((Octonion.from_scalar(Fraction(-3, 4)), Octonion.basis(6, RATIONAL)))
 @example((Octonion.zero(COMPLEX), Octonion((complex(-0.0, -0.0),) * 8)))
 @example((Octonion((complex(-1.5, 0.0),) + (0j,) * 7), Octonion((complex(0.0, -0.0),) * 8)))
+@example((_BELOW_CUTOFF, _BELOW_CUTOFF.conjugate()))
+@example((_BELOW_CUTOFF, _AT_CUTOFF))
+@example((_AT_CUTOFF, _AT_CUTOFF))
+@example((_WIDE_OPERAND, _WIDE_OPERAND.conjugate()))
+@example((_WIDE_OPERAND, Octonion((3, -1, 4, 1, -5, 9, 2, -6))))
+@example((_WIDE_OPERAND.as_rational(), Octonion(tuple(Fraction(c, k + 2) for k, c in enumerate(-_WIDE_OPERAND)))))
 @settings(max_examples=300, deadline=None)
 def test_product_matches_table_expansion(pair):
     p, q = pair
@@ -245,3 +264,34 @@ def test_complex_product_skips_zero_factors():
     p = Octonion((complex(float("inf"), 0),) + (0j,) * 7)
     product = p * Octonion.basis(1, COMPLEX)
     assert [_exact_form(c) for k, c in enumerate(product) if k != 1] == [_exact_form(0j)] * 7
+
+
+def _broken(table, i, j, sign=None, index=None):
+    """The table with entry (i, j) replaced."""
+    signs, indices = [list(row) for row in table.sign], [list(row) for row in table.index]
+    signs[i][j] = signs[i][j] if sign is None else sign
+    indices[i][j] = indices[i][j] if index is None else index
+    return MultiplicationTable(tuple(map(tuple, signs)), tuple(map(tuple, indices)))
+
+
+def test_pair_plan_takes_36_products():
+    pairs, slots = _pair_plan(MULTIPLICATION_TABLE)
+    assert len(pairs) == 28
+    products = sorted(m for pos, neg in slots for m in pos + neg if m >= 8)
+    assert products == list(range(8, 36))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_broken(MULTIPLICATION_TABLE, 1, 2, sign=-MULTIPLICATION_TABLE.sign[1][2]), "relative sign"),
+        (_broken(MULTIPLICATION_TABLE, 0, 3, sign=-1), "relative sign"),
+        (_broken(MULTIPLICATION_TABLE, 2, 5, index=MULTIPLICATION_TABLE.index[2][4]), "different slots"),
+        (_broken(MULTIPLICATION_TABLE, 3, 3, index=3), "slot 0"),
+        (_broken(_broken(MULTIPLICATION_TABLE, 1, 2, index=4), 2, 1, index=4), "four pairs"),
+    ],
+    ids=["flipped sign", "flipped identity sign", "asymmetric index", "square off slot 0", "five pairs in a slot"],
+)
+def test_pair_plan_rejects_a_broken_table(table, message):
+    with pytest.raises(ValueError, match=message):
+        _pair_plan(table)
