@@ -13,6 +13,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .scalars import RegimeError
@@ -45,12 +46,13 @@ class CubicRoots:
     weight_omega1: complex
     weight_omega2: complex
 
-    @property
+    @cached_property
     def lines(self) -> dict[str, tuple[complex, complex, complex]]:
         """(x, weight, f'(x)) per root line "alpha", "omega1", "omega2".
 
         f'(x), the product of x minus each other root, is the Binet
-        denominator of that root.
+        denominator of that root.  Computed once per roots object; treat
+        the dict as read-only.
         """
         a = complex(self.alpha)
         w1, w2 = self.omega1, self.omega2

@@ -223,15 +223,15 @@ class Octonion:
                 raise VariantError(
                     f"components mix scalar variants ({kind} with {variant_of(c)})"
                 )
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "variant", kind)
+        _set_components(self, comps)
+        _set_variant(self, kind)
 
     @classmethod
     def _raw(cls, comps: tuple[Scalar, ...], kind: str) -> "Octonion":
         # internal fast path: comps already validated by construction
         o = object.__new__(cls)
-        object.__setattr__(o, "components", comps)
-        object.__setattr__(o, "variant", kind)
+        _set_components(o, comps)
+        _set_variant(o, kind)
         return o
 
     @classmethod
@@ -378,3 +378,8 @@ class Octonion:
     def serialize(self) -> tuple[str, ...]:
         """Component strings in e0..e7 order (see `format_scalar`)."""
         return tuple(format_scalar(c) for c in self.components)
+
+
+# the slots' own setters, which Octonion.__setattr__ does not go through
+_set_components = Octonion.components.__set__
+_set_variant = Octonion.variant.__set__

@@ -6,19 +6,25 @@ hold term by term (recurrence, prefix sums, index shifts) are computed in
 exact arithmetic; only the root-based closed forms (Binet, norm, quadratic
 approximation) use floating point.
 
-An OctSequenceContext fills its term caches lazily and is otherwise
-read-only; extending one cache from two threads at once is not safe.
+An OctSequenceContext caches, each filled lazily: the exact terms and
+their running sums, both from index 0; one line per weight triple (a, b, c)
+of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k); and a line
+of the terms converted to complex for the float checks.  A line holds one
+value per index over a contiguous range that starts at the first index
+asked for and grows down or up as later requests need, so each value is
+computed once.  The context is otherwise read-only; extending a cache or
+a line from two threads at once is not safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
-from .scalars import INT, RATIONAL, RegimeError, Scalar, as_complex
+from .scalars import COMPLEX, INT, RATIONAL, RegimeError, Scalar, as_complex
 from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights
 from .sequences import sum_constant, sums, terms
 
@@ -42,7 +48,8 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
 
 
 class OctSequenceContext:
-    """Exact term and running-sum caches plus (lazily) the sum correction
+    """Exact term and running-sum caches, the lines of the three-term
+    combinations and of the complex terms, plus (lazily) the sum correction
     and the cubic-root data for one family."""
 
     def __init__(self, params: RecurrenceParams):
@@ -54,6 +61,8 @@ class OctSequenceContext:
         self._s = ([], sums(params))
         self._correction: tuple[Scalar, ...] | None = None
         self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
+        # key -> [start, values]: values[i] belongs to index start + i (see _span)
+        self._lines: dict[object, list] = {}
         self._roots: CubicRoots | None = None
 
     @property
@@ -72,6 +81,29 @@ class OctSequenceContext:
             cache.extend(islice(items, missing))
         return cache
 
+    def _span(self, key: object, n: int, width: int, values: Callable[[int, int], list]) -> list:
+        """The values of key's line at n .. n + width - 1.
+
+        A new line starts at n.  values(lo, hi) computes the line at
+        lo .. hi - 1; a request past either end extends the line to it,
+        gap included, so the line stays contiguous and no value is computed
+        twice.  If values raises, the line keeps the values it held.
+        """
+        _check_index(n)
+        span = self._lines.get(key)
+        if span is None:
+            span = self._lines[key] = [n, values(n, n + width)]
+        start, line = span
+        i = n - start
+        if i < 0 or i + width > len(line):
+            end = start + len(line)
+            if n + width > end:
+                line += values(end, n + width)
+            if i < 0:
+                line[:0] = values(n, start)
+                span[0], i = n, 0
+        return line[i : i + width]
+
     def seq(self, n: int) -> Scalar:
         """Exact n-th term of the family (cached)."""
         return self._extend(self._v, n)[n]
@@ -88,10 +120,23 @@ class OctSequenceContext:
         return self.oct_term(n).norm_sq()
 
     def _combine(self, n: int, a: Scalar, b: Scalar, c: Scalar) -> Octonion:
-        """a*O(n+2) + b*O(n+1) + c*O(n), exact; a, b, c share the family's variant."""
-        x = self._extend(self._v, n, 10)
-        comps = tuple(a * x[k + 2] + b * x[k + 1] + c * x[k] for k in range(n, n + 8))
-        return Octonion._raw(comps, self._kind)
+        """a*O(n+2) + b*O(n+1) + c*O(n), exact; a, b, c share the family's variant.
+
+        Component l is a*x(k+2) + b*x(k+1) + c*x(k) at k = n + l, read from
+        the line of (a, b, c), which computes it once per index.
+        """
+
+        def values(lo: int, hi: int) -> list[Scalar]:
+            x = self._v[0]
+            if len(x) < hi + 2:
+                self._extend(self._v, lo, hi - lo + 2)
+            # a loop, not a comprehension: most calls add one value
+            out = []
+            for k in range(lo, hi):
+                out.append(a * x[k + 2] + b * x[k + 1] + c * x[k])
+            return out
+
+        return Octonion._raw(tuple(self._span((a, b, c), n, 8, values)), self._kind)
 
     def recurrence_check(self, n: int) -> tuple[Octonion, Octonion]:
         """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly."""
@@ -170,8 +215,8 @@ class OctSequenceContext:
     def norm_formula_complex(self, n: int) -> complex:
         """Closed form of norm_sq(n) before dropping the imaginary residue.
 
-        Exposed so callers can inspect how much imaginary part the floating
-        evaluation leaked; norm_formula() returns the real part.
+        Its real part is the closed form; the imaginary part shows how much
+        the floating evaluation leaked.
         """
         ro = self.roots
         (a, wa, _), (w1, wq, _), (w2, wr, _) = ro.lines.values()
@@ -199,30 +244,30 @@ class OctSequenceContext:
             )
             return _finite((main - 2 * cross) / ro.vandermonde**2, n)
 
-    def norm_formula(self, n: int) -> float:
-        """Closed form of the squared norm as a double."""
-        return self.norm_formula_complex(n).real
-
     def _quad_parts(self, n: int, which_root: str) -> tuple[Octonion, Octonion, tuple[Octonion, ...]]:
+        """Quadratic three-term approximation attached to one root, with its addends.
+
+        lhs = weight * power_octonion(x) * x**(n+2); rhs = x^2*O(n+2) +
+        x*(s*O(n+1) + t*O(n)) + t*O(n+1) with the exact terms promoted to
+        complex, each term once, through the context's complex line.
+        Returns (lhs, rhs, addends of rhs); lhs and rhs agree to rounding
+        error.
+        """
         lines = self.roots.lines
         if which_root not in lines:
             raise ValueError(f"which_root must be one of {tuple(lines)}, got {which_root!r}")
         x, weight, _ = lines[which_root]
         s, t = as_complex(self.params.s), as_complex(self.params.t)
+
+        def values(lo: int, hi: int) -> list[complex]:
+            return [as_complex(v) for v in self._extend(self._v, lo, hi - lo)[lo:hi]]
+
         with _within_doubles(f"the root powers or terms at n = {n} are"):
             lhs = power_octonion(x) * (weight * x ** (n + 2))
-            o_n, o_n1, o_n2 = (self.oct_term(k).as_complex() for k in (n, n + 1, n + 2))
+            z = self._span(COMPLEX, n, 10, values)
+            o_n, o_n1, o_n2 = (Octonion._raw(tuple(z[k : k + 8]), COMPLEX) for k in range(3))
             parts = (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
             return _finite(lhs, n), _finite(parts[0] + parts[1] + parts[2], n), parts
-
-    def quad_approx(self, n: int, which_root: str) -> tuple[Octonion, Octonion]:
-        """Quadratic three-term approximation attached to one root.
-
-        lhs = weight * power_octonion(x) * x**(n+2); rhs = x^2*O(n+2) +
-        x*(s*O(n+1) + t*O(n)) + t*O(n+1) with the exact terms promoted to
-        complex.  Returns (lhs, rhs); they agree to rounding error.
-        """
-        return self._quad_parts(n, which_root)[:2]
 
     def quad_residual(self, n: int, which_root: str) -> float:
         """Worst componentwise residual of the quadratic identity.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice
 from operator import add, mul
 from typing import Callable, Iterator
@@ -58,6 +59,12 @@ class RecurrenceParams:
     def delta(self) -> int | Fraction:
         """r + s + t - 1, the divisor of the closed-form prefix sums."""
         return self.r + self.s + self.t - 1
+
+    @cached_property
+    def _ring(self) -> "_CubicQuotient":
+        # built once per parameters object; keyed on the object, not on its
+        # hash, since an int family equals its Fraction twin
+        return _CubicQuotient(self)
 
 
 PRESETS: dict[str, RecurrenceParams] = {
@@ -211,7 +218,7 @@ def terms(params: RecurrenceParams, companion: bool = False, start: int = 0) -> 
         seeds = (params.v0, params.v1, params.v2)
     if start < 3:
         return islice(_stepped(params, *seeds), start, None)
-    ring = _CubicQuotient(params)
+    ring = params._ring
     c = ring.xpow(start)
     window = []
     for _ in range(3):
@@ -228,7 +235,7 @@ def sums(params: RecurrenceParams, start: int = 0) -> Iterator[Scalar]:
     in terms, are added one by one.  It holds for every family, delta = 0
     included, and keeps the parameters' scalar variant.
     """
-    g = _CubicQuotient(params).series(_check_index(start))
+    g = params._ring.series(_check_index(start))
     first = sum(map(mul, g, (params.v0, params.v1, params.v2)))
     return accumulate(terms(params, start=start), initial=first)
 

@@ -59,6 +59,15 @@ def test_conjugate_pair_convention():
         assert abs(roots.omega2 - roots.omega1.conjugate()) <= 1e-12
 
 
+
+def test_root_lines_are_computed_once_per_roots_object():
+    roots = cubic_roots(preset_lookup("tribonacci"))
+    lines = roots.lines
+    assert roots.lines is lines
+    a = complex(roots.alpha)
+    assert lines["alpha"] == (a, roots.weight_alpha, (a - roots.omega1) * (a - roots.omega2))
+    assert cubic_roots(preset_lookup("tribonacci")) == roots
+
 def _vieta_residuals(params, roots):
     a, w1, w2 = complex(roots.alpha), roots.omega1, roots.omega2
     r, s, t = (float(x) for x in (params.r, params.s, params.t))

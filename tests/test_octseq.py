@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from trioct import (
     PRESET_NAMES,
     RecurrenceParams,
     RegimeError,
+    gf_numerator,
     power_octonion,
     preset_lookup,
     sum_correction,
 )
+from trioct.sequences import terms
 
 SUM_CONSTANTS = {
     "tribonacci": (1, 1, 3, 5, 9, 17, 31, 57),
@@ -195,7 +198,7 @@ def test_root_forms_past_double_range_raise_regime_error():
         ctx.oct_binet,
         lambda n: ctx.binet_term(n, "v"),
         lambda n: ctx.binet_term(n, "u"),
-        ctx.norm_formula,
+        lambda n: ctx.norm_formula_complex(n).real,
         *(lambda n, line=line: ctx.quad_residual(n, line) for line in ("alpha", "omega1", "omega2")),
     ]
     for form in forms:
@@ -221,8 +224,8 @@ def test_root_forms_near_double_limit_are_finite_or_raise():
         (range(1100, 1171), lambda n: ctx.binet_term(n, "v")),
         (range(1100, 1171), lambda n: ctx.binet_term(n, "u")),
         (range(560, 591), ctx.norm_formula_complex),
-        (range(560, 591), ctx.norm_formula),
-        *((range(1100, 1171), lambda n, line=line: ctx.quad_approx(n, line)) for line in lines),
+        (range(560, 591), lambda n: ctx.norm_formula_complex(n).real),
+        *((range(1100, 1171), lambda n, line=line: ctx._quad_parts(n, line)) for line in lines),
         *((range(1100, 1171), lambda n, line=line: ctx.quad_residual(n, line)) for line in lines),
     ]
     raised = 0
@@ -239,7 +242,7 @@ def test_root_forms_near_double_limit_are_finite_or_raise():
     for line in lines:
         for n in range(1100, 1171):
             try:
-                ctx.quad_approx(n, line)
+                ctx._quad_parts(n, line)
             except RegimeError:
                 with pytest.raises(RegimeError):
                     ctx.quad_residual(n, line)
@@ -247,10 +250,10 @@ def test_root_forms_near_double_limit_are_finite_or_raise():
 
 def test_norm_formula_examples():
     ctx = ctx_for("tribonacci")
-    assert ctx.norm_formula(0) == pytest.approx(816, rel=1e-9)
-    assert ctx.norm_formula(1) == pytest.approx(2752, rel=1e-9)
+    assert ctx.norm_formula_complex(0).real == pytest.approx(816, rel=1e-9)
+    assert ctx.norm_formula_complex(1).real == pytest.approx(2752, rel=1e-9)
     zero = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 0, 0))
-    assert abs(zero.norm_formula(5)) <= 1e-12
+    assert abs(zero.norm_formula_complex(5).real) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_NAMES))
@@ -314,14 +317,14 @@ def test_quad_approx_window(name):
 
 def test_quad_approx_zero_initials():
     ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 0, 0))
-    lhs, rhs = ctx.quad_approx(4, "alpha")
+    lhs, rhs, _ = ctx._quad_parts(4, "alpha")
     assert all(abs(c) <= 1e-12 for c in lhs.components)
     assert all(abs(c) <= 1e-12 for c in rhs.components)
 
 
 def test_quad_approx_bad_root_name():
     with pytest.raises(ValueError):
-        ctx_for("tribonacci").quad_approx(0, "beta")
+        ctx_for("tribonacci").quad_residual(0, "beta")
 
 
 @given(int_params, st.integers(1, 25))
@@ -351,3 +354,105 @@ def test_sum_octonions_random_params(params, n, rational):
 def test_shift_formula_random_params(params, n, m):
     lhs, rhs = OctSequenceContext(params).shift_formula(n, m)
     assert lhs == rhs
+
+
+# one context's calls, in any order: (kind, n, m)
+_line_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("shift"), st.integers(0, 90), st.integers(3, 12)),
+        st.tuples(st.just("recurrence"), st.integers(1, 90), st.just(0)),
+        st.tuples(st.just("sum"), st.integers(0, 90), st.just(0)),
+        st.tuples(st.just("gf"), st.just(0), st.just(0)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(int_params, st.booleans(), _line_calls, st.sampled_from(["drawn", "deep first", "shallow first"]))
+@settings(max_examples=80, deadline=None)
+def test_shared_lines_match_the_combinations_of_the_terms(params, rational, calls, order):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    if order != "drawn":
+        calls = sorted(calls, key=lambda call: call[1], reverse=order == "deep first")
+    r, s, t = params.r, params.s, params.t
+    x = list(islice(terms(params), 120))
+    u = list(islice(terms(params, companion=True), 12))
+
+    def line(lo, hi, a, b, c):
+        return [a * x[k + 2] + b * x[k + 1] + c * x[k] for k in range(lo, hi)]
+
+    def combination(n, a, b, c):
+        return Octonion(tuple(line(n, n + 8, a, b, c)))
+
+    ctx = OctSequenceContext(params)
+    for kind, n, m in calls:
+        if kind == "shift":
+            weights = (u[m - 1], s * u[m - 2] + t * u[m - 3], t * u[m - 2])
+            assert ctx.shift_formula(n, m) == (Octonion(x[n + m : n + m + 8]), combination(n, *weights))
+        elif kind == "recurrence":
+            assert ctx.recurrence_check(n) == (combination(n - 1, r, s, t), Octonion(x[n + 2 : n + 10]))
+        elif kind == "sum" and params.delta == 0:
+            with pytest.raises(RegimeError):
+                ctx.sum_octonions(n)
+        elif kind == "sum":
+            direct = tuple(Fraction(sum(x[l : n + l + 1])) for l in range(8))
+            assert ctx.sum_octonions(n) == Octonion(direct)
+        else:
+            rows = [
+                Octonion(x[0:8]),
+                Octonion(tuple(x[l + 1] - r * x[l] for l in range(8))),
+                Octonion(tuple(x[l + 2] - r * x[l + 1] - s * x[l] for l in range(8))),
+            ]
+            while rows and not rows[-1]:
+                rows.pop()
+            assert gf_numerator(ctx).coeffs == tuple(rows)
+    # every line holds its own triple's combination at every index it covers
+    for key, (start, values) in ctx._lines.items():
+        assert values == line(start, start + len(values), *key)
+
+
+def test_a_deep_call_computes_only_the_indices_it_returns():
+    ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
+    lhs, rhs = ctx.shift_formula(5000, 7)
+    assert lhs == rhs
+    [(start, line)] = ctx._lines.values()
+    assert start == 5000 and tuple(line) == rhs.components
+    # a shallower call extends the same line downward to it
+    assert ctx.shift_formula(0, 7) == (ctx.oct_term(7), ctx.oct_term(7))
+    [(start, line)] = ctx._lines.values()
+    assert start == 0 and len(line) == 5008
+    fresh = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
+    total = fresh.sum_octonions(5000)
+    [(start, line)] = fresh._lines.values()
+    assert start == 5000 and len(line) == 8
+    assert total == fresh.oct_prefix_sum(5000)
+    # the float checks convert each term they read to complex once
+    fresh.quad_residual(20, "alpha")
+    assert fresh._lines["complex"] == [20, [complex(x) for x in islice(terms(fresh.params), 20, 30)]]
+
+
+def test_a_line_computes_each_index_once_and_survives_a_failed_extension():
+    ctx = ctx_for("tribonacci")
+    asked = []
+
+    def values(lo, hi):
+        asked.append((lo, hi))
+        if hi > 100:
+            raise OverflowError
+        return list(range(lo, hi))
+
+    with pytest.raises(OverflowError):
+        ctx._span("k", 200, 4, values)
+    assert "k" not in ctx._lines
+    assert ctx._span("k", 10, 4, values) == [10, 11, 12, 13]
+    with pytest.raises(OverflowError):
+        ctx._span("k", 98, 4, values)
+    assert ctx._lines["k"] == [10, [10, 11, 12, 13]]
+    # a request past both ends extends the line up, then down
+    assert ctx._span("k", 5, 20, values) == list(range(5, 25))
+    assert ctx._span("k", 7, 2, values) == [7, 8]
+    assert asked == [(200, 204), (10, 14), (14, 102), (14, 25), (5, 10)]
+    with pytest.raises(ValueError):
+        ctx._span("k", -1, 4, values)

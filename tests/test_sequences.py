@@ -240,6 +240,29 @@ def test_sums_rejects_negative_start():
         sums(preset_lookup("tribonacci"), start=-1)
 
 
+def test_one_quotient_ring_per_family(monkeypatch):
+    from trioct.verify import SuiteConfig, run_suite
+
+    built = []
+    original = _CubicQuotient.__init__
+
+    def counting(self, params):
+        built.append(params)
+        original(self, params)
+
+    monkeypatch.setattr(_CubicQuotient, "__init__", counting)
+    # fresh copies of the presets build their rings here, whatever earlier tests cached
+    fresh = tuple(RecurrenceParams(*p.fields()) for p in PRESETS.values())
+    run_suite(SuiteConfig(extra_params=fresh))
+    rings = [sum(b is p for b in built) for p in (*PRESETS.values(), *fresh)]
+    assert max(rings) == 1 and rings[len(PRESETS):] == [1] * len(fresh)
+    # keyed on the object: an int family and its equal Fraction twin keep their own rings
+    twin = RecurrenceParams(*map(Fraction, PRESETS["tribonacci"].fields()))
+    assert twin == PRESETS["tribonacci"]
+    assert type(next(terms(twin, start=5))) is Fraction
+    assert type(next(terms(PRESETS["tribonacci"], start=5))) is int
+
+
 def test_jump_admits_tribonacci_at_three_hundred_thousand():
     params = preset_lookup("tribonacci")
     window = list(islice(terms(params, start=299_997), 4))
