@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 # the tables need only these two layers; the other commands import theirs when run
 from .scalars import RegimeError, VariantError, format_scalar, parse_exact
-from .sequences import PRESET_NAMES, RecurrenceParams, preset_lookup, seq_term, sums, terms
+from .sequences import PRESET_NAMES, RecurrenceParams, check_size_cap, preset_lookup, sums, terms
 
 
 class CliError(Exception):
@@ -95,8 +95,8 @@ def _table_range(text: str, params: RecurrenceParams, width: int) -> tuple[int, 
         raise CliError(f"range {text!r} must be nonnegative and nondecreasing")
     if b > sys.maxsize:
         raise CliError(f"range {text!r} goes past the largest supported index, {sys.maxsize}")
-    # the last row reads term(hi + width - 1), its largest; the jump to it checks the cap
-    seq_term(params, b + width - 1)
+    # the last row reads term(hi + width - 1), its largest
+    check_size_cap(params, b + width - 1)
     return a, b
 
 

@@ -6,27 +6,30 @@ hold term by term (recurrence, prefix sums, index shifts) are computed in
 exact arithmetic; only the root-based closed forms (Binet, norm, quadratic
 approximation) use floating point.
 
-An OctSequenceContext caches, each filled lazily: the exact terms and
-their running sums, both from index 0; one line per weight triple (a, b, c)
-of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k); and a line
-of the terms converted to complex for the float checks.  A line holds one
-value per index over a contiguous range that starts at the first index
+An OctSequenceContext caches lines, each filled lazily: one of the exact
+terms, jumped to its first index and stepped up; one per weight triple
+(a, b, c) of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k); and
+one of the terms converted to complex for the float checks.  A line holds
+one value per index over a contiguous range that starts at the first index
 asked for and grows down or up as later requests need, so each value is
-computed once.  The context is otherwise read-only; extending a cache or
-a line from two threads at once is not safe.
+computed once.  The context is otherwise read-only; extending a line from
+two threads at once is not safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
 from .octonion import Octonion
 from .scalars import COMPLEX, INT, RATIONAL, RegimeError, Scalar, as_complex
-from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights
-from .sequences import sum_constant, sums, terms
+from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights, _stepped
+from .sequences import sum_constant, terms
+
+_TERMS = "terms"  # the term line's key in OctSequenceContext._lines
 
 
 def power_octonion(x: complex) -> Octonion:
@@ -48,72 +51,68 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
 
 
 class OctSequenceContext:
-    """Exact term and running-sum caches, the lines of the three-term
-    combinations and of the complex terms, plus (lazily) the sum correction
-    and the cubic-root data for one family."""
+    """The lines of one family's exact terms, three-term combinations and complex
+    terms (see the module docstring), plus its lazy sum correction and root data."""
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
         self._kind = params.variant
-        # each cache: the values so far and the generator that continues them
-        self._v = ([], terms(params))
-        # _s holds the running sums: _s[k] = term(0) + ... + term(k-1)
-        self._s = ([], sums(params))
-        self._correction: tuple[Scalar, ...] | None = None
         self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
         # key -> [start, values]: values[i] belongs to index start + i (see _span)
         self._lines: dict[object, list] = {}
-        self._roots: CubicRoots | None = None
 
-    @property
+    @cached_property
     def roots(self) -> CubicRoots:
-        """Cubic-root data for the family; RegimeError outside disc > 0."""
-        if self._roots is None:
-            self._roots = cubic_roots(self.params)
-        return self._roots
+        """Cubic-root data for the family; RegimeError outside disc > 0, on every access."""
+        return cubic_roots(self.params)
 
-    @staticmethod
-    def _extend(source: tuple[list, Iterator], n: int, width: int = 1) -> list[Scalar]:
-        # the cached values, holding at least index n .. n + width - 1
-        cache, items = source
-        missing = _check_index(n) + width - len(cache)
-        if missing > 0:
-            cache.extend(islice(items, missing))
-        return cache
+    @cached_property
+    def _correction(self) -> tuple[Scalar, ...]:
+        # integral for an int family, whose numerators then stay ints
+        correction = sum_correction(self.params).components
+        return tuple(map(int, correction)) if self._kind == INT else correction
 
-    def _span(self, key: object, n: int, width: int, values: Callable[[int, int], list]) -> list:
+    def _span(self, key: object, n: int, width: int, values: Callable[..., list], *args) -> list:
         """The values of key's line at n .. n + width - 1.
 
-        A new line starts at n.  values(lo, hi) computes the line at
+        A new line starts at n.  values(lo, hi, *args) computes the line at
         lo .. hi - 1; a request past either end extends the line to it,
         gap included, so the line stays contiguous and no value is computed
         twice.  If values raises, the line keeps the values it held.
         """
-        _check_index(n)
         span = self._lines.get(key)
         if span is None:
-            span = self._lines[key] = [n, values(n, n + width)]
+            span = self._lines[key] = [_check_index(n), values(n, n + width, *args)]
         start, line = span
         i = n - start
         if i < 0 or i + width > len(line):
+            _check_index(n)
             end = start + len(line)
             if n + width > end:
-                line += values(end, n + width)
+                line += values(end, n + width, *args)
             if i < 0:
-                line[:0] = values(n, start)
+                line[:0] = values(n, start, *args)
                 span[0], i = n, 0
         return line[i : i + width]
 
+    def _term_values(self, lo: int, hi: int) -> list[Scalar]:
+        # the term line's values: stepped on from its last three as it grows up, else jumped to
+        span = self._lines.get(_TERMS)
+        if span is not None and span[0] + len(span[1]) == lo:
+            return list(islice(_stepped(self.params, *span[1][-3:]), 3, 3 + hi - lo))
+        return list(islice(terms(self.params, start=lo), hi - lo))
+
     def seq(self, n: int) -> Scalar:
         """Exact n-th term of the family (cached)."""
-        return self._extend(self._v, n)[n]
+        # three terms, so that the line always has three to step on from
+        return self._span(_TERMS, n, 3, self._term_values)[0]
 
     # -- the lift and its exact identities ---------------------------------
 
     def oct_term(self, n: int) -> Octonion:
         """Octonion with components (term(n), ..., term(n+7)), exact."""
         # cached terms share the validated parameters' variant
-        return Octonion._raw(tuple(self._extend(self._v, n, 8)[n : n + 8]), self._kind)
+        return Octonion._raw(tuple(self._span(_TERMS, n, 8, self._term_values)), self._kind)
 
     def norm_sq(self, n: int) -> Scalar:
         """Exact squared norm of the lift: sum of the eight squared terms."""
@@ -125,18 +124,15 @@ class OctSequenceContext:
         Component l is a*x(k+2) + b*x(k+1) + c*x(k) at k = n + l, read from
         the line of (a, b, c), which computes it once per index.
         """
+        return Octonion._raw(tuple(self._span((a, b, c), n, 8, self._combination, a, b, c)), self._kind)
 
-        def values(lo: int, hi: int) -> list[Scalar]:
-            x = self._v[0]
-            if len(x) < hi + 2:
-                self._extend(self._v, lo, hi - lo + 2)
-            # a loop, not a comprehension: most calls add one value
-            out = []
-            for k in range(lo, hi):
-                out.append(a * x[k + 2] + b * x[k + 1] + c * x[k])
-            return out
-
-        return Octonion._raw(tuple(self._span((a, b, c), n, 8, values)), self._kind)
+    def _combination(self, lo: int, hi: int, a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
+        x = self._span(_TERMS, lo, hi - lo + 2, self._term_values)
+        # a loop, not a comprehension: most calls add one value
+        out = []
+        for k in range(hi - lo):
+            out.append(a * x[k + 2] + b * x[k + 1] + c * x[k])
+        return out
 
     def recurrence_check(self, n: int) -> tuple[Octonion, Octonion]:
         """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly."""
@@ -145,17 +141,17 @@ class OctSequenceContext:
         return self._combine(n - 1, self.params.r, self.params.s, self.params.t), self.oct_term(n + 2)
 
     def oct_prefix_sums(self, n: int) -> list[Octonion]:
-        """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational."""
-        return [self.oct_prefix_sum(k) for k in range(_check_index(n) + 1)]
+        """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational.
+
+        Component l of the k-th sum is term(l) + ... + term(k+l), accumulated once from the term line.
+        """
+        x = self._span(_TERMS, 0, _check_index(n) + 8, self._term_values)
+        columns = (accumulate(x[l : n + l + 1]) for l in range(8))
+        return [Octonion._raw(sums, self._kind).as_rational() for sums in zip(*columns)]
 
     def oct_prefix_sum(self, n: int) -> Octonion:
-        """Direct summation oracle O(0) + ... + O(n), exact rational.
-
-        Component l is term(l) + ... + term(n+l), the difference of two
-        cached running sums of the terms.
-        """
-        s = self._extend(self._s, n, 9)
-        return Octonion._raw(tuple(s[n + 1 + l] - s[l] for l in range(8)), self._kind).as_rational()
+        """Direct summation oracle O(0) + ... + O(n), exact rational (see oct_prefix_sums)."""
+        return self.oct_prefix_sums(n)[n]
 
     def sum_octonions(self, n: int) -> Octonion:
         """Closed form for O(0) + ... + O(n), exact rational.
@@ -163,10 +159,6 @@ class OctSequenceContext:
         (O(n+2) + (1-r)*O(n+1) + t*O(n) + sum_correction) / delta; undefined
         when delta == 0.
         """
-        if self._correction is None:
-            # integral for an int family, whose numerators then stay ints
-            correction = sum_correction(self.params).components
-            self._correction = tuple(map(int, correction)) if self._kind == INT else correction
         sums = _closed_form_sum(
             self.params, lambda a, b, c: self._combine(n, a, b, c).components, self._correction
         )
@@ -260,7 +252,7 @@ class OctSequenceContext:
         s, t = as_complex(self.params.s), as_complex(self.params.t)
 
         def values(lo: int, hi: int) -> list[complex]:
-            return [as_complex(v) for v in self._extend(self._v, lo, hi - lo)[lo:hi]]
+            return [as_complex(v) for v in self._span(_TERMS, lo, hi - lo, self._term_values)]
 
         with _within_doubles(f"the root powers or terms at n = {n} are"):
             lhs = power_octonion(x) * (weight * x ** (n + 2))

@@ -172,14 +172,14 @@ class _CubicQuotient:
                 c = self.shift(c)
         return c
 
-    def series(self, n: int) -> tuple:
-        """1 + x + ... + x^(n-1) mod f in O(log n) products; RegimeError past MAX_TERM_BITS.
+    def series(self, n: int) -> tuple[tuple, tuple]:
+        """(1 + x + ... + x^(n-1), x^n) mod f in O(log n) products; RegimeError past MAX_TERM_BITS.
 
         With G = 1 + ... + x^(k-1) and P = x^k, doubling k gives G + G*P
-        and P*P; a 1 bit then gives G + P and x*P.  Applied to the seeds,
-        G is the running sum term(0) + ... + term(n-1) (see sums).  P and G
-        are measured before every squaring, as in xpow; a series runs once
-        per command, so no size bound skips the measuring.
+        and P*P; a 1 bit then gives G + P and x*P.  Applied to the seeds, G
+        is term(0) + ... + term(n-1) and P gives term(n) (see sums).  Both are
+        measured before every squaring, as in xpow; a series runs once per
+        command, so no size bound skips the measuring.
         """
         g, p = self.zero, self.one
         for bit in bin(n)[2:]:
@@ -189,7 +189,7 @@ class _CubicQuotient:
             if bit == "1":
                 g = tuple(map(add, g, p))
                 p = self.shift(p)
-        return g
+        return g, p
 
 
 def _check_size(n: int, *elements: tuple) -> None:
@@ -218,26 +218,33 @@ def terms(params: RecurrenceParams, companion: bool = False, start: int = 0) -> 
         seeds = (params.v0, params.v1, params.v2)
     if start < 3:
         return islice(_stepped(params, *seeds), start, None)
-    ring = params._ring
-    c = ring.xpow(start)
-    window = []
-    for _ in range(3):
-        window.append(sum(map(mul, c, seeds)))
-        c = ring.shift(c)
-    return _stepped(params, *window)
+    return _stepped_from(params, params._ring.xpow(start), seeds)
 
 
 def sums(params: RecurrenceParams, start: int = 0) -> Iterator[Scalar]:
     """Yield the running sums S(start), S(start+1), ... exactly, S(k) = term(0) + ... + term(k-1).
 
-    S(start) is the seeds weighted by 1 + x + ... + x^(start-1) mod f
-    (RegimeError past MAX_TERM_BITS); from there the terms, jumped to as
-    in terms, are added one by one.  It holds for every family, delta = 0
-    included, and keeps the parameters' scalar variant.
+    S(start) is the seeds weighted by 1 + x + ... + x^(start-1) mod f; the
+    terms added from there step from the window of x^start, built by the
+    same series (RegimeError past MAX_TERM_BITS).  It holds for every family,
+    delta = 0 included, and keeps the parameters' scalar variant.
     """
-    g = params._ring.series(_check_index(start))
-    first = sum(map(mul, g, (params.v0, params.v1, params.v2)))
-    return accumulate(terms(params, start=start), initial=first)
+    seeds = (params.v0, params.v1, params.v2)
+    g, p = params._ring.series(_check_index(start))
+    return accumulate(_stepped_from(params, p, seeds), initial=sum(map(mul, g, seeds)))
+
+
+def _stepped_from(params: RecurrenceParams, c: tuple, seeds: tuple) -> Iterator[Scalar]:
+    # the terms from k on, for c = x^k mod f: term(k + i) weighs the seeds by x^i * c
+    shift = params._ring.shift
+    window = (c, shift(c), shift(shift(c)))
+    return _stepped(params, *(sum(map(mul, x, seeds)) for x in window))
+
+
+def check_size_cap(params: RecurrenceParams, n: int) -> None:
+    """RegimeError when the jump to term n would pass MAX_TERM_BITS; no jump while xpow skips measuring."""
+    if n >> 1 > params._ring.fits:
+        seq_term(params, n)
 
 
 def _stepped(params: RecurrenceParams, a: Scalar, b: Scalar, c: Scalar) -> Iterator[Scalar]:

@@ -19,7 +19,8 @@ from trioct import (
     preset_lookup,
     sum_correction,
 )
-from trioct.sequences import terms
+from trioct.octseq import _TERMS
+from trioct.sequences import _CubicQuotient, terms
 
 SUM_CONSTANTS = {
     "tribonacci": (1, 1, 3, 5, 9, 17, 31, 57),
@@ -408,29 +409,58 @@ def test_shared_lines_match_the_combinations_of_the_terms(params, rational, call
             while rows and not rows[-1]:
                 rows.pop()
             assert gf_numerator(ctx).coeffs == tuple(rows)
-    # every line holds its own triple's combination at every index it covers
+    # every line holds its own triple's combination at every index it covers,
+    # and the term line the terms
     for key, (start, values) in ctx._lines.items():
-        assert values == line(start, start + len(values), *key)
+        if key == _TERMS:
+            assert values == x[start : start + len(values)]
+        else:
+            assert values == line(start, start + len(values), *key)
+
+
+def combination_lines(ctx):
+    return [span for key, span in ctx._lines.items() if key != _TERMS]
 
 
 def test_a_deep_call_computes_only_the_indices_it_returns():
     ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     lhs, rhs = ctx.shift_formula(5000, 7)
     assert lhs == rhs
-    [(start, line)] = ctx._lines.values()
+    [(start, line)] = combination_lines(ctx)
     assert start == 5000 and tuple(line) == rhs.components
     # a shallower call extends the same line downward to it
     assert ctx.shift_formula(0, 7) == (ctx.oct_term(7), ctx.oct_term(7))
-    [(start, line)] = ctx._lines.values()
+    [(start, line)] = combination_lines(ctx)
     assert start == 0 and len(line) == 5008
     fresh = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     total = fresh.sum_octonions(5000)
-    [(start, line)] = fresh._lines.values()
+    [(start, line)] = combination_lines(fresh)
     assert start == 5000 and len(line) == 8
     assert total == fresh.oct_prefix_sum(5000)
     # the float checks convert each term they read to complex once
     fresh.quad_residual(20, "alpha")
     assert fresh._lines["complex"] == [20, [complex(x) for x in islice(terms(fresh.params), 20, 30)]]
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (RecurrenceParams(1, 1, 1, 0, 1, 1), 20000),
+        (RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))), 3000),
+    ],
+)
+def test_a_deep_call_starts_the_term_line_at_its_index(params, n, monkeypatch):
+    ctx = OctSequenceContext(params)
+    lhs, rhs = ctx.shift_formula(n, 5)
+    assert lhs == rhs
+    start, line = ctx._lines[_TERMS]
+    assert start == n and len(line) <= 13
+    expected = list(islice(terms(params, start=n), 40))
+    assert line == expected[: len(line)]
+    # growing up, the line steps on from its last three terms without a jump
+    monkeypatch.setattr(_CubicQuotient, "xpow", None)
+    assert ctx.oct_term(n + 32).components == tuple(expected[32:40])
+    assert ctx._lines[_TERMS] == [n, expected]
 
 
 def test_a_line_computes_each_index_once_and_survives_a_failed_extension():

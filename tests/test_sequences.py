@@ -240,6 +240,31 @@ def test_sums_rejects_negative_start():
         sums(preset_lookup("tribonacci"), start=-1)
 
 
+def test_one_jump_per_stream_and_per_table(monkeypatch):
+    from trioct.cli import main
+
+    jumps = []
+    for name in ("xpow", "series"):
+        original = getattr(_CubicQuotient, name)
+        monkeypatch.setattr(
+            _CubicQuotient, name, lambda self, n, name=name, f=original: jumps.append((name, n)) or f(self, n)
+        )
+    params = preset_lookup("tribonacci")
+    running = list(accumulate(islice(terms(params), 5010), initial=0))
+    for start in (0, 1, 2, 3, 5000):
+        jumps.clear()
+        assert list(islice(sums(params, start), 10)) == running[start : start + 10]
+        assert jumps == [("series", start)]
+    # below the fits bound a table jumps once, to its first row (sum: the
+    # running sum past it), besides the sum table's head S(0) .. S(7)
+    assert 5009 >> 1 <= params._ring.fits
+    for command, expected in (("seq", ("xpow", 5000)), ("oct", ("xpow", 5000)), ("sum", ("series", 5001))):
+        jumps.clear()
+        assert main([command, "--preset", "tribonacci", "--n", "5000..5002"]) == 0
+        assert [jump for jump in jumps if jump != ("series", 0)] == [expected], command
+    assert jumps == [("series", 0), ("series", 5001)]
+
+
 def test_one_quotient_ring_per_family(monkeypatch):
     from trioct.verify import SuiteConfig, run_suite
 
