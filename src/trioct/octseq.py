@@ -95,24 +95,37 @@ class OctSequenceContext:
                 span[0], i = n, 0
         return line[i : i + width]
 
+    def line(self, lo: int, hi: int, weights: tuple[Scalar, Scalar, Scalar] | None = None) -> list[Scalar]:
+        """A stretch of one of the context's lines: its values at lo .. hi - 1.
+
+        Without weights, the exact terms; with weights (a, b, c), which share
+        the family's variant, the combinations a*x(k+2) + b*x(k+1) + c*x(k).
+        A stretch the line already covers is read, not computed.
+        """
+        if hi < lo:
+            raise ValueError(f"a stretch needs lo <= hi, got {lo} .. {hi}")
+        if weights is None:
+            return self._span(_TERMS, lo, hi - lo, self._term_values)
+        return self._span(weights, lo, hi - lo, self._combination, *weights)
+
     def _term_values(self, lo: int, hi: int) -> list[Scalar]:
         # the term line's values: stepped on from its last three as it grows up, else jumped to
         span = self._lines.get(_TERMS)
-        if span is not None and span[0] + len(span[1]) == lo:
+        if span is not None and span[0] + len(span[1]) == lo and len(span[1]) >= 3:
             return list(islice(_stepped(self.params, *span[1][-3:]), 3, 3 + hi - lo))
         return list(islice(terms(self.params, start=lo), hi - lo))
 
     def seq(self, n: int) -> Scalar:
         """Exact n-th term of the family (cached)."""
-        # three terms, so that the line always has three to step on from
-        return self._span(_TERMS, n, 3, self._term_values)[0]
+        # three terms, so that the line has three to step on from
+        return self.line(n, n + 3)[0]
 
     # -- the lift and its exact identities ---------------------------------
 
     def oct_term(self, n: int) -> Octonion:
         """Octonion with components (term(n), ..., term(n+7)), exact."""
         # cached terms share the validated parameters' variant
-        return Octonion._raw(tuple(self._span(_TERMS, n, 8, self._term_values)), self._kind)
+        return Octonion._raw(tuple(self.line(n, n + 8)), self._kind)
 
     def norm_sq(self, n: int) -> Scalar:
         """Exact squared norm of the lift: sum of the eight squared terms."""
@@ -124,10 +137,10 @@ class OctSequenceContext:
         Component l is a*x(k+2) + b*x(k+1) + c*x(k) at k = n + l, read from
         the line of (a, b, c), which computes it once per index.
         """
-        return Octonion._raw(tuple(self._span((a, b, c), n, 8, self._combination, a, b, c)), self._kind)
+        return Octonion._raw(tuple(self.line(n, n + 8, (a, b, c))), self._kind)
 
     def _combination(self, lo: int, hi: int, a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
-        x = self._span(_TERMS, lo, hi - lo + 2, self._term_values)
+        x = self.line(lo, hi + 2)
         # a loop, not a comprehension: most calls add one value
         out = []
         for k in range(hi - lo):
@@ -135,17 +148,20 @@ class OctSequenceContext:
         return out
 
     def recurrence_check(self, n: int) -> tuple[Octonion, Octonion]:
-        """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly."""
+        """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly.
+
+        (r, s, t) are the shift weights at m = 3 (see shift_coefficients) and are read from there.
+        """
         if n < 1:
             raise ValueError("the lifted recurrence is stated for n >= 1")
-        return self._combine(n - 1, self.params.r, self.params.s, self.params.t), self.oct_term(n + 2)
+        return self._combine(n - 1, *self.shift_coefficients(3)), self.oct_term(n + 2)
 
     def oct_prefix_sums(self, n: int) -> list[Octonion]:
         """Direct summation oracle [O(0), O(0)+O(1), ..., O(0)+...+O(n)], exact rational.
 
         Component l of the k-th sum is term(l) + ... + term(k+l), accumulated once from the term line.
         """
-        x = self._span(_TERMS, 0, _check_index(n) + 8, self._term_values)
+        x = self.line(0, _check_index(n) + 8)
         columns = (accumulate(x[l : n + l + 1]) for l in range(8))
         return [Octonion._raw(sums, self._kind).as_rational() for sums in zip(*columns)]
 
@@ -252,7 +268,7 @@ class OctSequenceContext:
         s, t = as_complex(self.params.s), as_complex(self.params.t)
 
         def values(lo: int, hi: int) -> list[complex]:
-            return [as_complex(v) for v in self._span(_TERMS, lo, hi - lo, self._term_values)]
+            return [as_complex(v) for v in self.line(lo, hi)]
 
         with _within_doubles(f"the root powers or terms at n = {n} are"):
             lhs = power_octonion(x) * (weight * x ** (n + 2))

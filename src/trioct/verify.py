@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
+from operator import eq
 from typing import Callable, Iterator, Mapping
 
 from .genfunc import build_gf, gf_expand, gf_numerator
@@ -33,6 +36,7 @@ from .sequences import (
     partial_sum_formula_uncorrected,
     preset_lookup,
     prefix_sum,
+    check_size_cap,
     companion_identity,
     terms,
 )
@@ -146,6 +150,11 @@ class SuiteConfig:
             raise ValueError("n_max must be >= 3")
         if self.m_max < 3:
             raise ValueError("m_max must be >= 3")
+        if self.deepest > sys.maxsize:
+            raise ValueError(
+                f"n_max = {self.n_max} and m_max = {self.m_max} read terms past "
+                f"the largest supported index, {sys.maxsize}"
+            )
         if self.random_sets < 0:
             raise ValueError("random_sets must be >= 0")
         for key, tol in self.tolerances.items():
@@ -158,6 +167,16 @@ class SuiteConfig:
                 preset_lookup(name)
                 if len(comps) != 8:
                     raise ValueError("sum-constant overrides need 8 components")
+
+    @property
+    def deepest(self) -> int:
+        """The deepest term index a family's checks read.
+
+        padovan's tabulated sum form reads O(n + 5), up to term n + 12, at
+        n = n_max, and the shifts read O(n + m), up to term n + m + 7, at
+        n <= min(n_max, 50); no other check reads deeper.
+        """
+        return max(self.n_max + 12, self.m_max + min(self.n_max, 50) + 7)
 
     def tolerance(self, category: str) -> float:
         return dict(DEFAULT_TOLERANCES, **self.tolerances)[category]
@@ -266,6 +285,22 @@ def _exact_pair(result: CategoryResult, lhs: object, rhs: object) -> None:
         result.record_exact(False, 0.0 if isinstance(rhs, tuple) else _rel_residual(lhs, rhs))
 
 
+def _lifted_verdicts(
+    ctx: OctSequenceContext, m: int, weights: tuple[Scalar, Scalar, Scalar], count: int
+) -> list[bool]:
+    """Whether O(n + m) == a*O(n+2) + b*O(n+1) + c*O(n), (a, b, c) = weights, at n = 0 .. count - 1.
+
+    The lifted identity holds at n exactly when its scalar form
+    x(k + m) = a*x(k+2) + b*x(k+1) + c*x(k) holds at the eight indices
+    k = n .. n+7, so the term line from m and the weights' line from 0 are
+    compared once per index.
+    """
+    agree = list(map(eq, ctx.line(m, m + count + 7), ctx.line(0, count + 7, weights)))
+    if all(agree):
+        return [True] * count
+    return [all(agree[n : n + 8]) for n in range(count)]
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run every identity over the configured grid; deterministic given seed."""
     rng = random.Random(config.seed)
@@ -301,8 +336,11 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     category's hypotheses: delta = 0 for the sum formulas, not a preset for
     the tabulated references and the root-based forms, and a cubic without
     the root data (ctx.roots raises RegimeError) for the root-based forms.
+    RegimeError, before the first check, when the family's terms at
+    config.deepest are past the size cap.
     """
     params, n_max = ctx.params, config.n_max
+    check_size_cap(params, config.deepest)
     summable = params.delta != 0
     tabulated = preset is not None
     try:
@@ -313,7 +351,14 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     # direct sums O(0)+...+O(n), shared by the octonion_sum and sum_table checks
     sums = ctx.oct_prefix_sums(n_max)
 
-    yield "recurrence", (ctx.recurrence_check(n) for n in range(1, n_max + 1))
+    def lifted(m: int, count: int, build: Callable[[int], tuple]) -> Iterator[tuple]:
+        # the lifted identity at n = 0 .. count - 1 (see _lifted_verdicts): a
+        # passing n is the equal pair (True, True); only a failing n builds its octonions
+        verdicts = _lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count)
+        return ((True, True) if ok else build(n) for n, ok in enumerate(verdicts))
+
+    # the recurrence at n is the shift by m = 3 at n - 1, whose weights are (r, s, t)
+    yield "recurrence", lifted(3, n_max, lambda n: ctx.recurrence_check(n + 1))
     yield "companion_identity", (companion_identity(params, n) for n in range(2, n_max + 1))
     yield "scalar_sum", (
         ((partial_sum_formula(params, n), prefix_sum(params, n)) for n in window) if summable else None
@@ -345,7 +390,7 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
         ]
     shifts = range(3, config.m_max + 1)
     yield "shift_formula", chain(
-        (ctx.shift_formula(n, m) for m in shifts for n in range(min(n_max, 50) + 1)),
+        (pair for m in shifts for pair in lifted(m, min(n_max, 50) + 1, partial(ctx.shift_formula, m=m))),
         (
             pair
             for m in shifts if tabulated

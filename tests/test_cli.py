@@ -110,6 +110,20 @@ def test_index_past_maxsize_is_a_usage_error(capsys, command, text):
     assert "islice" not in err
 
 
+def test_verify_past_maxsize_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", str(10**20))
+    assert code == 1 and out == ""
+    assert err.startswith("trioct: error: n_max = ") and err.count("\n") == 1
+    assert str(sys.maxsize) in err and "islice" not in err
+
+
+def test_verify_past_the_size_cap_fails_at_once(capsys):
+    # the shifts read up to term m_max + n_max + 7; the cap is checked before any check runs
+    code, out, err = run_cli(capsys, "verify", "--preset", "tribonacci", "--m-max", "2000000")
+    assert code == 1 and out == ""
+    assert err.startswith("trioct: error: term 2000047 is past the size cap") and err.count("\n") == 1
+
+
 def _cli_process(*argv: str) -> subprocess.CompletedProcess:
     # a subprocess with a timeout: a regression to an O(n) walk fails in seconds
     return subprocess.run(

@@ -19,7 +19,6 @@ from trioct import (
     preset_lookup,
     sum_correction,
 )
-from trioct.octseq import _TERMS
 from trioct.sequences import _CubicQuotient, terms
 
 SUM_CONSTANTS = {
@@ -409,33 +408,41 @@ def test_shared_lines_match_the_combinations_of_the_terms(params, rational, call
             while rows and not rows[-1]:
                 rows.pop()
             assert gf_numerator(ctx).coeffs == tuple(rows)
-    # every line holds its own triple's combination at every index it covers,
-    # and the term line the terms
-    for key, (start, values) in ctx._lines.items():
-        if key == _TERMS:
-            assert values == x[start : start + len(values)]
-        else:
-            assert values == line(start, start + len(values), *key)
+    # every line the calls used holds its own triple's combination at every
+    # index, the values it cached among them, and the term line the terms
+    triples = {(r, s, t), (1, 1 - r, t), (0, 1, -r), (1, -r, -s)}
+    triples |= {(u[m - 1], s * u[m - 2] + t * u[m - 3], t * u[m - 2]) for kind, _, m in calls if kind == "shift"}
+    assert ctx.line(0, 100) == x[:100]
+    for weights in triples:
+        assert ctx.line(0, 100, weights) == line(0, 100, *weights)
 
 
-def combination_lines(ctx):
-    return [span for key, span in ctx._lines.items() if key != _TERMS]
+def computed_stretches(monkeypatch, method):
+    """The (lo, hi) of every stretch that contexts compute through method, in order."""
+    asked = []
+    values = getattr(OctSequenceContext, method)
+
+    def spy(self, lo, hi, *weights):
+        asked.append((lo, hi))
+        return values(self, lo, hi, *weights)
+
+    monkeypatch.setattr(OctSequenceContext, method, spy)
+    return asked
 
 
-def test_a_deep_call_computes_only_the_indices_it_returns():
+def test_a_deep_call_computes_only_the_indices_it_returns(monkeypatch):
+    asked = computed_stretches(monkeypatch, "_combination")
     ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     lhs, rhs = ctx.shift_formula(5000, 7)
     assert lhs == rhs
-    [(start, line)] = combination_lines(ctx)
-    assert start == 5000 and tuple(line) == rhs.components
+    assert asked == [(5000, 5008)]
+    assert ctx.line(5000, 5008, ctx.shift_coefficients(7)) == list(rhs.components)
     # a shallower call extends the same line downward to it
     assert ctx.shift_formula(0, 7) == (ctx.oct_term(7), ctx.oct_term(7))
-    [(start, line)] = combination_lines(ctx)
-    assert start == 0 and len(line) == 5008
+    assert asked == [(5000, 5008), (0, 5000)]
     fresh = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     total = fresh.sum_octonions(5000)
-    [(start, line)] = combination_lines(fresh)
-    assert start == 5000 and len(line) == 8
+    assert asked[2:] == [(5000, 5008)]
     assert total == fresh.oct_prefix_sum(5000)
     # the float checks convert each term they read to complex once
     fresh.quad_residual(20, "alpha")
@@ -450,17 +457,33 @@ def test_a_deep_call_computes_only_the_indices_it_returns():
     ],
 )
 def test_a_deep_call_starts_the_term_line_at_its_index(params, n, monkeypatch):
+    asked = computed_stretches(monkeypatch, "_term_values")
     ctx = OctSequenceContext(params)
     lhs, rhs = ctx.shift_formula(n, 5)
     assert lhs == rhs
-    start, line = ctx._lines[_TERMS]
-    assert start == n and len(line) <= 13
+    assert min(lo for lo, _ in asked) == n and sum(hi - lo for lo, hi in asked) <= 13
     expected = list(islice(terms(params, start=n), 40))
-    assert line == expected[: len(line)]
-    # growing up, the line steps on from its last three terms without a jump
+    # growing up, the line steps on from its last three terms without a jump,
+    # and it starts at n: reading below n would need one
     monkeypatch.setattr(_CubicQuotient, "xpow", None)
     assert ctx.oct_term(n + 32).components == tuple(expected[32:40])
-    assert ctx._lines[_TERMS] == [n, expected]
+    assert ctx.line(n, n + 40) == expected
+
+
+def test_the_line_reader_reads_any_stretch():
+    params = preset_lookup("tribonacci")
+    x = list(islice(terms(params), 60))
+    ctx = OctSequenceContext(params)
+    # a term line of fewer than three values grows by jumping, then by stepping
+    assert ctx.line(40, 40) == []
+    assert ctx.line(40, 41) == x[40:41]
+    assert ctx.line(41, 43) == x[41:43]
+    assert ctx.line(30, 60) == x[30:60]
+    assert ctx.line(5, 9, (1, 2, 3)) == [x[k + 2] + 2 * x[k + 1] + 3 * x[k] for k in range(5, 9)]
+    with pytest.raises(ValueError):
+        ctx.line(9, 8)
+    with pytest.raises(ValueError):
+        ctx.line(-1, 3)
 
 
 def test_a_line_computes_each_index_once_and_survives_a_failed_extension():

@@ -1,15 +1,22 @@
 """The verification suite: grids, skips, negative controls, determinism."""
 
+import operator
+import sys
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trioct import (
     CATEGORIES,
+    OctSequenceContext,
     RecurrenceParams,
     SuiteConfig,
     VerificationReport,
     run_suite,
 )
-from trioct import verify
+from trioct import octseq, verify
 from trioct.verify import EXACT_CATEGORIES, NUMERIC_CATEGORIES
 
 
@@ -142,6 +149,12 @@ def test_config_validation():
         SuiteConfig(tolerances={"binet_scalar": 0.0})
     with pytest.raises(ValueError):
         SuiteConfig(sum_constants_override={"tribonacci": (1, 2)})
+    # every index the checks read must be an index; at n_max = 40 the shifts read m_max + 47
+    with pytest.raises(ValueError, match=str(sys.maxsize)):
+        SuiteConfig(n_max=10**20)
+    with pytest.raises(ValueError, match=str(sys.maxsize)):
+        SuiteConfig(m_max=sys.maxsize - 46)
+    assert SuiteConfig(m_max=sys.maxsize - 47).deepest == sys.maxsize
 
 
 def test_tolerance_override_applies():
@@ -220,3 +233,84 @@ def test_report_is_pinned(name):
     for category in EXACT_CATEGORIES:
         assert report.categories[category].max_rel_residual == residuals.get(category, 0.0)
     assert report.errata == [_sign_erratum(bad, total), _GENFUNC_ERRATUM]
+
+
+def _tampered_weights(at, slot=0, bump=1):
+    """octseq's shift weights with bump added to weight slot at m = at (m = 3 holds the recurrence's)."""
+    weights = octseq._expansion_weights
+
+    def tampered(params, m):
+        w = list(weights(params, m))
+        if m == at:
+            w[slot] += bump
+        return tuple(w)
+
+    return tampered
+
+
+# (run, failed, max_rel_residual) of the lifted identities under a tampered
+# weight, as every (n, m) gives them when its octonion pair is built and compared
+_TAMPERED = {
+    7: {"recurrence": (360, 0, 0.0), "shift_formula": (6858, 373, 1 / 3)},
+    3: {"recurrence": (360, 360, 6.113649856392275), "shift_formula": (6858, 373, 10.068692206076618)},
+}
+
+
+@pytest.mark.parametrize("at", sorted(_TAMPERED))
+def test_a_tampered_weight_fails_with_its_residual(monkeypatch, at):
+    monkeypatch.setattr(octseq, "_expansion_weights", _tampered_weights(at))
+    report = run_suite(SuiteConfig(random_sets=5, seed=3))
+    expected = _TAMPERED[at]
+    got = {name: (c.run, c.failed, c.max_rel_residual) for name, c in report.categories.items()}
+    assert {name: got[name] for name in expected} == expected
+    # the weights feed only the lifted identities
+    assert report.total_failures == sum(failed for _, failed, _ in expected.values())
+
+
+class _OneBadIndex:
+    """Lines for _lifted_verdicts: the term line 0, 1, 2, ..., and a weights' line
+    that equals the term line from m except at index bad."""
+
+    def __init__(self, m, bad):
+        self.m, self.bad = m, bad
+
+    def line(self, lo, hi, weights=None):
+        if weights is None:
+            return list(range(lo, hi))
+        return [k + self.m + (k == self.bad) for k in range(lo, hi)]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 7, 8, 15, 19])
+def test_a_bad_index_fails_the_eight_lifts_that_read_it(bad):
+    verdicts = verify._lifted_verdicts(_OneBadIndex(5, bad), 5, (1, 1, 1), 13)
+    assert verdicts == [not n <= bad <= n + 7 for n in range(13)]
+
+
+# coefficients are often 0, so that some families have runs of zero terms:
+# a tampered weight there fails at some n and passes at others
+_coefficient = st.one_of(st.just(0), st.integers(-5, 5))
+_small_params = st.builds(RecurrenceParams, *[_coefficient] * 3, *[st.integers(-3, 3)] * 3)
+
+
+@given(
+    _small_params,
+    st.booleans(),
+    st.integers(3, 14),
+    st.integers(3, 9),
+    st.one_of(st.none(), st.tuples(st.integers(3, 9), st.integers(0, 2), st.sampled_from([-1, 1, 2]))),
+)
+@settings(max_examples=100, deadline=None)
+def test_line_verdicts_match_the_octonion_pairs(params, rational, n_max, m_max, tamper):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    with pytest.MonkeyPatch.context() as mp:
+        if tamper:
+            mp.setattr(octseq, "_expansion_weights", _tampered_weights(*tamper))
+            m_max = max(m_max, tamper[0])
+        ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
+        for m in range(3, m_max + 1):
+            verdicts = verify._lifted_verdicts(ctx, m, ctx.shift_coefficients(m), n_max + 1)
+            assert verdicts == [operator.eq(*pairs.shift_formula(n, m)) for n in range(n_max + 1)]
+        # the recurrence at n is the shift by 3 at n - 1
+        verdicts = verify._lifted_verdicts(ctx, 3, ctx.shift_coefficients(3), n_max)
+        assert verdicts == [operator.eq(*pairs.recurrence_check(n)) for n in range(1, n_max + 1)]
