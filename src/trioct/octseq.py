@@ -67,8 +67,8 @@ class OctSequenceContext:
         return cubic_roots(self.params)
 
     @cached_property
-    def _correction(self) -> tuple[Scalar, ...]:
-        # integral for an int family, whose numerators then stay ints
+    def correction(self) -> tuple[Scalar, ...]:
+        """The components of sum_correction that sum_octonions adds; ints for an int family."""
         correction = sum_correction(self.params).components
         return tuple(map(int, correction)) if self._kind == INT else correction
 
@@ -176,7 +176,7 @@ class OctSequenceContext:
         when delta == 0.
         """
         sums = _closed_form_sum(
-            self.params, lambda a, b, c: self._combine(n, a, b, c).components, self._correction
+            self.params, lambda a, b, c: self._combine(n, a, b, c).components, self.correction
         )
         return Octonion._raw(tuple(sums), RATIONAL)
 

@@ -9,6 +9,12 @@ that fall outside an identity's hypotheses (delta = 0 for the sum
 formulas, a nonpositive discriminant for anything root-based) are counted
 as skipped, not failed.
 
+The scalar identities (the companion expansion, the closed-form prefix
+sums) and the lifted ones (the recurrence, the index shifts, the lifted
+prefix sum) are decided once per index on the context's scalar lines; only
+a failing index builds its pair through the library function that states
+the identity, so its residual is the one that function gives.
+
 Aggregation is order-independent (sums and maxima), so checks could be
 evaluated in any order or concurrently without changing the report.
 """
@@ -20,8 +26,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import accumulate, chain, islice
 from operator import eq
 from typing import Callable, Iterator, Mapping
 
@@ -38,6 +44,7 @@ from .sequences import (
     prefix_sum,
     check_size_cap,
     companion_identity,
+    sum_constant,
     terms,
 )
 
@@ -301,6 +308,37 @@ def _lifted_verdicts(
     return [all(agree[n : n + 8]) for n in range(count)]
 
 
+def _companion_verdicts(ctx: OctSequenceContext, u: list[Scalar]) -> list[bool]:
+    """Whether term(n+1) == v2*U(n) + (s*v1 + t*v0)*U(n-1) + t*v1*U(n-2) at n = 2 .. len(u) - 1.
+
+    u holds the companion terms U(0), U(1), ...; the terms come from the
+    term line.  The right side is companion_identity's, its weights gathered once.
+    """
+    p = ctx.params
+    b, c = p.s * p.v1 + p.t * p.v0, p.t * p.v1
+    x = ctx.line(3, len(u) + 1)
+    return [y == p.v2 * u2 + b * u1 + c * u0 for y, u0, u1, u2 in zip(x, u, u[1:], u[2:])]
+
+
+def _sum_verdicts(ctx: OctSequenceContext, count: int) -> tuple[list[bool], list[bool]]:
+    """Whether the closed-form prefix sums hold at n = 0 .. count - 1: the scalar one, then the lifted one.
+
+    With comb(k) = x(k+2) + (1-r)*x(k+1) + t*x(k), read from its line, and
+    P(k) = x(0) + ... + x(k), the scalar sum holds at n exactly when
+    comb(n) + lam == delta*P(n), lam = sum_constant, and component l of the
+    lifted sum exactly when comb(n+l) + corr[l] == delta*(P(n+l) - P(l-1)),
+    corr the context's correction.  Both compare the gap comb(k) - delta*P(k),
+    computed once per index.
+    """
+    p = ctx.params
+    d = p.delta
+    x = ctx.line(0, count + 7)
+    gaps = [c - d * s for c, s in zip(ctx.line(0, count + 7, (1, 1 - p.r, p.t)), accumulate(x))]
+    lam = sum_constant(p, p.s)
+    targets = [-k - d * s for k, s in zip(ctx.correction, accumulate(x[:7], initial=0))]
+    return [g == -lam for g in gaps[:count]], [gaps[n : n + 8] == targets for n in range(count)]
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run every identity over the configured grid; deterministic given seed."""
     rng = random.Random(config.seed)
@@ -321,7 +359,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 for residual in checks:
                     res.record_numeric(residual, tol)
             else:
-                for lhs, rhs in checks:
+                passed, pairs = checks
+                res.run += passed
+                for lhs, rhs in pairs:
                     _exact_pair(res, lhs, rhs)
 
     errata = [_sign_erratum_note(cases, config), _genfunc_erratum_note()]
@@ -331,11 +371,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> Iterator[tuple]:
     """Yield (category, checks) for one family, in CATEGORIES order.
 
-    The checks of an exact category are (lhs, rhs) pairs, those of a numeric
-    one relative residuals; they are None when the family is outside the
-    category's hypotheses: delta = 0 for the sum formulas, not a preset for
-    the tabulated references and the root-based forms, and a cubic without
-    the root data (ctx.roots raises RegimeError) for the root-based forms.
+    The checks of an exact category are (passed, pairs): a count of checks
+    already known to pass and the (lhs, rhs) pairs still to compare.  Those
+    of a numeric one are relative residuals.  Either is None when the family
+    is outside the category's hypotheses: delta = 0 for the sum formulas, not
+    a preset for the tabulated references and the root-based forms, and a
+    cubic without the root data (ctx.roots raises RegimeError) for the
+    root-based forms.
     RegimeError, before the first check, when the family's terms at
     config.deepest are past the size cap.
     """
@@ -348,22 +390,32 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     except RegimeError:
         rooted = False
     window = range(n_max + 1)
-    # direct sums O(0)+...+O(n), shared by the octonion_sum and sum_table checks
-    sums = ctx.oct_prefix_sums(n_max)
+    # direct sums O(0)+...+O(n), for the sum_table checks and a failing octonion_sum check
+    sums = cache(lambda: ctx.oct_prefix_sums(n_max))
 
-    def lifted(m: int, count: int, build: Callable[[int], tuple]) -> Iterator[tuple]:
-        # the lifted identity at n = 0 .. count - 1 (see _lifted_verdicts): a
-        # passing n is the equal pair (True, True); only a failing n builds its octonions
-        verdicts = _lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count)
-        return ((True, True) if ok else build(n) for n, ok in enumerate(verdicts))
+    def settle(
+        verdicts: list[bool], build: Callable[[int], tuple], first: int = 0
+    ) -> tuple[int, Iterator]:
+        # the verdicts at n = first, first + 1, ...: a passing n is counted;
+        # only a failing n builds its pair
+        return verdicts.count(True), (build(n) for n, ok in enumerate(verdicts, first) if not ok)
+
+    def lifted(m: int, count: int, build: Callable[[int], tuple]) -> tuple[int, Iterator]:
+        return settle(_lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count), build)
 
     # the recurrence at n is the shift by m = 3 at n - 1, whose weights are (r, s, t)
     yield "recurrence", lifted(3, n_max, lambda n: ctx.recurrence_check(n + 1))
-    yield "companion_identity", (companion_identity(params, n) for n in range(2, n_max + 1))
-    yield "scalar_sum", (
-        ((partial_sum_formula(params, n), prefix_sum(params, n)) for n in window) if summable else None
-    )
-    yield "octonion_sum", ((ctx.sum_octonions(n), sums[n]) for n in window) if summable else None
+    u = list(islice(terms(params, companion=True), n_max + 1))
+    yield "companion_identity", settle(_companion_verdicts(ctx, u), partial(companion_identity, params), 2)
+    if summable:
+        scalar, lifted_sum = _sum_verdicts(ctx, n_max + 1)
+        yield "scalar_sum", settle(
+            scalar, lambda n: (partial_sum_formula(params, n), prefix_sum(params, n))
+        )
+        yield "octonion_sum", settle(lifted_sum, lambda n: (ctx.sum_octonions(n), sums()[n]))
+    else:
+        yield "scalar_sum", None
+        yield "octonion_sum", None
     if not tabulated:
         yield "genfunc_table", None
     else:
@@ -378,25 +430,24 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
                 table.append((computed, printed))
             else:
                 table.append(((computed, computed != printed), (misprint, True)))
-        yield "genfunc_table", table
-    yield "genfunc_roundtrip", zip(gf_expand(build_gf(ctx), min(n_max + 1, 50)), map(ctx.oct_term, window))
+        yield "genfunc_table", (0, table)
+    expanded = gf_expand(build_gf(ctx), min(n_max + 1, 50))
+    yield "genfunc_roundtrip", (0, zip(expanded, map(ctx.oct_term, window)))
     if not tabulated:
         yield "sum_table", None
     else:
         constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
         form = REFERENCE_SUM_FORMS[preset]
-        yield "sum_table", [
-            (sum_correction(params), -constant), *((form(ctx, n, constant), sums[n]) for n in window)
-        ]
+        rows = [(form(ctx, n, constant), sums()[n]) for n in window]
+        yield "sum_table", (0, [(sum_correction(params), -constant), *rows])
     shifts = range(3, config.m_max + 1)
-    yield "shift_formula", chain(
-        (pair for m in shifts for pair in lifted(m, min(n_max, 50) + 1, partial(ctx.shift_formula, m=m))),
-        (
-            pair
-            for m in shifts if tabulated
-            for pair in zip(REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m), ctx.shift_coefficients(m))
-        ),
+    shifted = (lifted(m, min(n_max, 50) + 1, partial(ctx.shift_formula, m=m)) for m in shifts)
+    passed, failing = zip(*shifted)
+    patterns = (
+        zip(REFERENCE_SHIFT_PATTERNS[preset](ctx.seq, m), ctx.shift_coefficients(m))
+        for m in shifts if tabulated
     )
+    yield "shift_formula", (sum(passed), chain(*failing, *patterns))
 
     def upto(name: str) -> range:
         # the index window inside which the closed form is contracted to hold

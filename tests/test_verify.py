@@ -3,9 +3,10 @@
 import operator
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trioct import (
@@ -16,7 +17,8 @@ from trioct import (
     VerificationReport,
     run_suite,
 )
-from trioct import octseq, verify
+from trioct import octseq, sequences, verify
+from trioct.sequences import companion_identity, partial_sum_formula, prefix_sum, terms
 from trioct.verify import EXACT_CATEGORIES, NUMERIC_CATEGORIES
 
 
@@ -314,3 +316,125 @@ def test_line_verdicts_match_the_octonion_pairs(params, rational, n_max, m_max, 
         # the recurrence at n is the shift by 3 at n - 1
         verdicts = verify._lifted_verdicts(ctx, 3, ctx.shift_coefficients(3), n_max)
         assert verdicts == [operator.eq(*pairs.recurrence_check(n)) for n in range(1, n_max + 1)]
+
+
+def _bumped_sum_constant(monkeypatch, bump):
+    """sum_constant plus bump, in every module that binds it."""
+    constant = sequences.sum_constant
+    for module in (sequences, octseq, verify):
+        monkeypatch.setattr(module, "sum_constant", lambda params, s: constant(params, s) + bump)
+
+
+# (run, failed, skipped, max_rel_residual) under a sum constant one too large,
+# as every n gives them when its pair is built and compared
+_BUMPED = {
+    "companion_identity": (351, 0, 0, 0.0),
+    "scalar_sum": (369, 369, 0, 1.0),
+    "octonion_sum": (369, 369, 0, 1.0),
+    "sum_table": (168, 4, 5, 1.0),
+}
+
+
+def test_a_tampered_sum_constant_fails_with_its_residual(monkeypatch):
+    _bumped_sum_constant(monkeypatch, 1)
+    report = run_suite(SuiteConfig(random_sets=5, seed=3))
+    got = {name: (c.run, c.failed, c.skipped, c.max_rel_residual) for name, c in report.categories.items()}
+    assert {name: got[name] for name in _BUMPED} == _BUMPED
+    # the constant feeds only the closed-form sums and the tabulated sum rows
+    assert report.total_failures == 742
+
+
+class _OneBadValue:
+    """A context for _companion_verdicts and _sum_verdicts on r = 2, s = t = 1, seeds (1, 1, 1),
+    whose term line is one too large at index bad; its combination lines are
+    computed from that line, its correction from the true terms."""
+
+    params = RecurrenceParams(2, 1, 1, 1, 1, 1)
+
+    def __init__(self, bad):
+        self.correction = OctSequenceContext(self.params).correction
+        self.x = list(islice(terms(self.params), 40))
+        self.x[bad] += 1
+
+    def line(self, lo, hi, weights=None):
+        if weights is None:
+            return self.x[lo:hi]
+        a, b, c = weights
+        return [a * self.x[k + 2] + b * self.x[k + 1] + c * self.x[k] for k in range(lo, hi)]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 7, 12, 20])
+def test_a_bad_value_fails_the_sum_and_companion_checks_that_read_it(bad):
+    # here t != delta and 1 - r != 0, so every weight that reads a term is nonzero
+    ctx = _OneBadValue(bad)
+    u = list(islice(terms(ctx.params, companion=True), 24))
+    # the companion check at n reads term(n + 1) and U(n - 2) .. U(n)
+    assert verify._companion_verdicts(ctx, u) == [n + 1 != bad for n in range(2, 24)]
+    u[bad] += 1
+    assert verify._companion_verdicts(OctSequenceContext(ctx.params), u) == [
+        not n - 2 <= bad <= n for n in range(2, 24)
+    ]
+    # the scalar sum at n reads the terms up to n + 2, the lifted one up to n + 9
+    scalar, lifted = verify._sum_verdicts(ctx, 24)
+    assert scalar == [n < bad - 2 for n in range(24)]
+    assert lifted == [n < bad - 9 for n in range(24)]
+
+
+@given(
+    _small_params,
+    st.booleans(),
+    st.integers(3, 14),
+    st.sampled_from([0, 0, 1, -2]),
+)
+@example(RecurrenceParams(1, 1, -1, 0, 1, 1), False, 6, 0)
+@example(RecurrenceParams(0, 0, 1, 0, 0, 0), True, 6, 1)
+@settings(max_examples=100, deadline=None)
+def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, bump):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    with pytest.MonkeyPatch.context() as mp:
+        _bumped_sum_constant(mp, bump)
+        ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
+        u = list(islice(terms(params, companion=True), n_max + 1))
+        assert verify._companion_verdicts(ctx, u) == [
+            operator.eq(*companion_identity(params, n)) for n in range(2, n_max + 1)
+        ]
+        # the sum checks are skipped at delta = 0, where the closed forms are undefined
+        if params.delta != 0:
+            scalar, lifted = verify._sum_verdicts(ctx, n_max + 1)
+            sums = [partial_sum_formula(params, n) == prefix_sum(params, n) for n in range(n_max + 1)]
+            assert scalar == sums
+            assert lifted == [pairs.sum_octonions(n) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)]
+
+
+def _tampered_companion(at):
+    """sequences.terms with the companion term U(at) one too large, at any start."""
+    stream = sequences.terms
+
+    def tampered(params, companion=False, start=0):
+        values = stream(params, companion, start)
+        return (u + (k == at) for k, u in enumerate(values, start)) if companion else values
+
+    return tampered
+
+
+# (run, failed, max_rel_residual) under a tampered U(at), as the parent's per-n
+# pairs give them; the shift weights read U(m - 3) .. U(m - 1), m <= 20
+_TAMPERED_COMPANION = {
+    7: {
+        "companion_identity": (195, 13, 0.021739130434782608),
+        "shift_formula": (3690, 615, 7.715768324861217),
+    },
+    30: {"companion_identity": (195, 13, 4.0734933030081634e-10)},
+}
+
+
+@pytest.mark.parametrize("at", sorted(_TAMPERED_COMPANION))
+def test_a_tampered_companion_term_fails_with_its_residual(monkeypatch, at):
+    for module in (sequences, octseq, verify):
+        monkeypatch.setattr(module, "terms", _tampered_companion(at))
+    report = run_suite(SuiteConfig(presets=(), random_sets=5, seed=3))
+    expected = _TAMPERED_COMPANION[at]
+    got = {name: (c.run, c.failed, c.max_rel_residual) for name, c in report.categories.items()}
+    assert {name: got[name] for name in expected} == expected
+    assert report.total_failures == sum(failed for _, failed, _ in expected.values())
