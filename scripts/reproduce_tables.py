@@ -3,7 +3,8 @@
 
 Prints, for each named preset: the generating-function numerator (eight
 slot polynomials over the cubic denominator), the summation constant with
-its closed form, and the first few shift-convolution coefficient triples.
+its closed form and the catalog's summation formula, and the first few
+shift-convolution coefficient triples.
 Entries that disagree with the tabulated reference catalog are marked;
 the exact computation is authoritative.
 
@@ -22,7 +23,7 @@ from trioct import (
     preset_lookup,
     sum_correction,
 )
-from trioct.verify import REFERENCE_GENFUNC_TABLE, REFERENCE_SUM_CONSTANTS
+from trioct.verify import REFERENCE_GENFUNC_TABLE, REFERENCE_SUM_CONSTANTS, REFERENCE_SUM_FORMS, _sum_verdicts
 
 
 def show_generating_functions() -> None:
@@ -40,6 +41,13 @@ def show_generating_functions() -> None:
             print(line)
 
 
+def format_sum_form(weights: tuple[int, int, int], offset: int, divisor: int) -> str:
+    """A tabulated summation form as text, e.g. (O(n+2) + O(n) - c) / 2."""
+    lifts = [f"{'' if w == 1 else f'{w}*'}O(n+{offset + k})" for w, k in zip(weights, (2, 1, 0)) if w]
+    text = " + ".join(lifts).replace("O(n+0)", "O(n)") + " - c"
+    return text if divisor == 1 else f"({text}) / {divisor}"
+
+
 def show_summation_constants() -> None:
     print("\n== summation formulas ==")
     for name in PRESET_NAMES:
@@ -51,6 +59,13 @@ def show_summation_constants() -> None:
         print(f"[{name}]  delta = {params.delta}")
         print(f"  sum(0..n) = (O(n+2) + {1 - params.r}*O(n+1) + {params.t}*O(n) + w) / {params.delta}")
         print(f"  w = ({comps}){marker}")
+        # the catalog's form and constant against the direct sums at n <= 20, as verify decides them
+        catalog = REFERENCE_SUM_CONSTANTS[name]
+        form = REFERENCE_SUM_FORMS[name]
+        holds = all(_sum_verdicts(OctSequenceContext(params), form, tuple(-c for c in catalog), 21))
+        marker = "" if holds else "   <-- disagrees with the direct sums"
+        constant = ", ".join(map(str, catalog))
+        print(f"  catalog: sum(0..n) = {format_sum_form(*form)}, c = ({constant}){marker}")
 
 
 def show_shift_coefficients() -> None:

@@ -36,7 +36,6 @@ from .scalars import (
     VariantError,
     as_complex,
     as_rational,
-    format_scalar,
     one,
     variant_of,
     zero,
@@ -374,10 +373,6 @@ class Octonion:
         if self.variant == COMPLEX:
             return self
         return Octonion._raw(tuple(as_complex(c) for c in self.components), COMPLEX)
-
-    def serialize(self) -> tuple[str, ...]:
-        """Component strings in e0..e7 order (see `format_scalar`)."""
-        return tuple(format_scalar(c) for c in self.components)
 
 
 # the slots' own setters, which Octonion.__setattr__ does not go through

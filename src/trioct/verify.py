@@ -10,10 +10,11 @@ formulas, a nonpositive discriminant for anything root-based) are counted
 as skipped, not failed.
 
 The scalar identities (the companion expansion, the closed-form prefix
-sums) and the lifted ones (the recurrence, the index shifts, the lifted
-prefix sum) are decided once per index on the context's scalar lines; only
-a failing index builds its pair through the library function that states
-the identity, so its residual is the one that function gives.
+sum) and the lifted ones (the recurrence, the index shifts, the lifted and
+tabulated prefix sums) are decided once per index on the context's scalar
+lines, every prefix-sum form by _sum_verdicts; only a failing index builds
+its pair through the library function that states the identity, so its
+residual is the one that function gives.
 
 Aggregation is order-independent (sums and maxima), so checks could be
 evaluated in any order or concurrently without changing the report.
@@ -39,7 +40,6 @@ from .sequences import (
     PRESET_NAMES,
     RecurrenceParams,
     partial_sum_formula,
-    partial_sum_formula_uncorrected,
     preset_lookup,
     prefix_sum,
     check_size_cap,
@@ -109,19 +109,13 @@ REFERENCE_SUM_CONSTANTS: dict[str, tuple[int, ...]] = {
     "third_order_jacobsthal": (1, 1, 4, 7, 13, 28, 55, 109),
 }
 
-# Tabulated shapes of the summation formulas, one callable per preset.
-_SumForm = Callable[[OctSequenceContext, int, Octonion], Octonion]
-REFERENCE_SUM_FORMS: dict[str, _SumForm] = {
-    "tribonacci": lambda ctx, n, c: (
-        ctx.oct_term(n + 2).as_rational() + ctx.oct_term(n).as_rational() - c
-    ) * Fraction(1, 2),
-    "padovan": lambda ctx, n, c: ctx.oct_term(n + 5).as_rational() - c,
-    "narayana": lambda ctx, n, c: ctx.oct_term(n + 3).as_rational() - c,
-    "third_order_jacobsthal": lambda ctx, n, c: (
-        ctx.oct_term(n + 2).as_rational()
-        + ctx.oct_term(n).as_rational() * Fraction(2)
-        - c
-    ) * Fraction(1, 3),
+# Tabulated summation formulas as ((a, b, c), offset, divisor):
+# O(0) + ... + O(n) = (a*O(n+off+2) + b*O(n+off+1) + c*O(n+off) - constant) / divisor.
+REFERENCE_SUM_FORMS: dict[str, tuple[tuple[int, int, int], int, int]] = {
+    "tribonacci": ((1, 0, 1), 0, 2),
+    "padovan": ((1, 0, 0), 3, 1),
+    "narayana": ((1, 0, 0), 1, 1),
+    "third_order_jacobsthal": ((1, 0, 2), 0, 3),
 }
 
 # Tabulated shift-convolution coefficient triples (applied to O(n+2), O(n+1),
@@ -167,8 +161,8 @@ class SuiteConfig:
         for key, tol in self.tolerances.items():
             if key not in NUMERIC_CATEGORIES:
                 raise ValueError(f"unknown tolerance key {key!r}")
-            if tol <= 0:
-                raise ValueError(f"tolerance for {key!r} must be positive")
+            if not 0 < tol < float("inf"):
+                raise ValueError(f"tolerance for {key!r} must be positive and finite")
         if self.sum_constants_override:
             for name, comps in self.sum_constants_override.items():
                 preset_lookup(name)
@@ -179,8 +173,8 @@ class SuiteConfig:
     def deepest(self) -> int:
         """The deepest term index a family's checks read.
 
-        padovan's tabulated sum form reads O(n + 5), up to term n + 12, at
-        n = n_max, and the shifts read O(n + m), up to term n + m + 7, at
+        padovan's tabulated sum form, at offset 3, reads up to term n + 12
+        at n = n_max, and the shifts read O(n + m), up to term n + m + 7, at
         n <= min(n_max, 50); no other check reads deeper.
         """
         return max(self.n_max + 12, self.m_max + min(self.n_max, 50) + 7)
@@ -320,23 +314,23 @@ def _companion_verdicts(ctx: OctSequenceContext, u: list[Scalar]) -> list[bool]:
     return [y == p.v2 * u2 + b * u1 + c * u0 for y, u0, u1, u2 in zip(x, u, u[1:], u[2:])]
 
 
-def _sum_verdicts(ctx: OctSequenceContext, count: int) -> tuple[list[bool], list[bool]]:
-    """Whether the closed-form prefix sums hold at n = 0 .. count - 1: the scalar one, then the lifted one.
+def _sum_verdicts(
+    ctx: OctSequenceContext, form: tuple, constant: tuple[Scalar, ...], count: int
+) -> list[bool]:
+    """Whether a prefix-sum form ((a, b, c), off, d) holds at n = 0 .. count - 1.
 
-    With comb(k) = x(k+2) + (1-r)*x(k+1) + t*x(k), read from its line, and
-    P(k) = x(0) + ... + x(k), the scalar sum holds at n exactly when
-    comb(n) + lam == delta*P(n), lam = sum_constant, and component l of the
-    lifted sum exactly when comb(n+l) + corr[l] == delta*(P(n+l) - P(l-1)),
-    corr the context's correction.  Both compare the gap comb(k) - delta*P(k),
+    With comb(k) = a*x(k+2) + b*x(k+1) + c*x(k), read from its line, it holds
+    at n when (comb(n+off+l) + constant[l]) / d == x(l) + ... + x(n+l) for
+    every l < len(constant).  With P(k) = x(0) + ... + x(k), that is
+    gap(n+l) == -constant[l] - d*P(l-1) for the gap comb(k+off) - d*P(k),
     computed once per index.
     """
-    p = ctx.params
-    d = p.delta
-    x = ctx.line(0, count + 7)
-    gaps = [c - d * s for c, s in zip(ctx.line(0, count + 7, (1, 1 - p.r, p.t)), accumulate(x))]
-    lam = sum_constant(p, p.s)
-    targets = [-k - d * s for k, s in zip(ctx.correction, accumulate(x[:7], initial=0))]
-    return [g == -lam for g in gaps[:count]], [gaps[n : n + 8] == targets for n in range(count)]
+    weights, off, d = form
+    width = len(constant)
+    x = ctx.line(0, count + width - 1)
+    gaps = [c - d * s for c, s in zip(ctx.line(off, off + count + width - 1, weights), accumulate(x))]
+    targets = [-k - d * s for k, s in zip(constant, accumulate(x[: width - 1], initial=0))]
+    return [gaps[n : n + width] == targets for n in range(count)]
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -389,8 +383,7 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
         rooted = tabulated and ctx.roots is not None
     except RegimeError:
         rooted = False
-    window = range(n_max + 1)
-    # direct sums O(0)+...+O(n), for the sum_table checks and a failing octonion_sum check
+    # direct sums O(0)+...+O(n), for a failing sum_table or octonion_sum check
     sums = cache(lambda: ctx.oct_prefix_sums(n_max))
 
     def settle(
@@ -408,11 +401,14 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     u = list(islice(terms(params, companion=True), n_max + 1))
     yield "companion_identity", settle(_companion_verdicts(ctx, u), partial(companion_identity, params), 2)
     if summable:
-        scalar, lifted_sum = _sum_verdicts(ctx, n_max + 1)
+        form = ((1, 1 - params.r, params.t), 0, params.delta)
         yield "scalar_sum", settle(
-            scalar, lambda n: (partial_sum_formula(params, n), prefix_sum(params, n))
+            _sum_verdicts(ctx, form, (sum_constant(params, params.s),), n_max + 1),
+            lambda n: (partial_sum_formula(params, n), prefix_sum(params, n)),
         )
-        yield "octonion_sum", settle(lifted_sum, lambda n: (ctx.sum_octonions(n), sums()[n]))
+        yield "octonion_sum", settle(
+            _sum_verdicts(ctx, form, ctx.correction, n_max + 1), lambda n: (ctx.sum_octonions(n), sums()[n])
+        )
     else:
         yield "scalar_sum", None
         yield "octonion_sum", None
@@ -432,14 +428,17 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
                 table.append(((computed, computed != printed), (misprint, True)))
         yield "genfunc_table", (0, table)
     expanded = gf_expand(build_gf(ctx), min(n_max + 1, 50))
-    yield "genfunc_roundtrip", (0, zip(expanded, map(ctx.oct_term, window)))
+    yield "genfunc_roundtrip", (0, zip(expanded, map(ctx.oct_term, range(n_max + 1))))
     if not tabulated:
         yield "sum_table", None
     else:
         constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
-        form = REFERENCE_SUM_FORMS[preset]
-        rows = [(form(ctx, n, constant), sums()[n]) for n in window]
-        yield "sum_table", (0, [(sum_correction(params), -constant), *rows])
+        w, off, d = form = REFERENCE_SUM_FORMS[preset]
+        passed, failing = settle(
+            _sum_verdicts(ctx, form, (-constant).components, n_max + 1),
+            lambda n: ((ctx._combine(n + off, *w).as_rational() - constant) * Fraction(1, d), sums()[n]),
+        )
+        yield "sum_table", (passed, chain([(sum_correction(params), -constant)], failing))
     shifts = range(3, config.m_max + 1)
     shifted = (lifted(m, min(n_max, 50) + 1, partial(ctx.shift_formula, m=m)) for m in shifts)
     passed, failing = zip(*shifted)
@@ -476,24 +475,19 @@ def _sign_erratum_note(
     """Diagnostic of the misprinted (r-s-1)*v0 summation constant.
 
     Counts, over the configured parameter sets plus a fixed witness, how
-    many delta != 0 sets the misprinted constant fails on; the corrected
-    constant is separately verified by the scalar_sum category.
+    many delta != 0 sets the misprinted constant fails on at some
+    n <= min(n_max, 10), decided on the scalar sum's form as scalar_sum
+    decides the corrected constant.
     """
-    n_cap = min(config.n_max, 10)
-    sets = [params for _, params in cases] + [_SIGN_WITNESS]
-    total = 0
+    count = min(config.n_max, 10) + 1
+    sets = [p for _, p in [*cases, (None, _SIGN_WITNESS)] if p.delta != 0]
     bad = 0
-    for params in sets:
-        if params.delta == 0:
-            continue
-        total += 1
-        for n in range(n_cap + 1):
-            if partial_sum_formula_uncorrected(params, n) != prefix_sum(params, n):
-                bad += 1
-                break
+    for p in sets:
+        form = ((1, 1 - p.r, p.t), 0, p.delta)
+        bad += not all(_sum_verdicts(OctSequenceContext(p), form, (sum_constant(p, -p.s),), count))
     return (
         "summation-constant sign: the (r-s-1)*v0 variant fails on "
-        f"{bad} of {total} delta!=0 parameter sets "
+        f"{bad} of {len(sets)} delta!=0 parameter sets "
         "(witness r=1 s=1 t=1 v0=1 v1=0 v2=0, n=0); "
         "the verified (r+s-1)*v0 form is used throughout"
     )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trioct import PRESET_NAMES, OctSequenceContext, RecurrenceParams, preset_lookup
+from trioct import PRESET_NAMES, OctSequenceContext, RecurrenceParams, format_scalar, preset_lookup
 from trioct.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +97,7 @@ def test_sum_rows_match_the_closed_form(capsys, source, params):
     for text, indices in (("0..60", range(61)), ("17..23", range(17, 24)), ("45", [45])):
         code, out, err = run_cli(capsys, "sum", *source, "--n", text, "--format", "csv")
         assert code == 0 and err == ""
-        expected = [f"{n}," + ",".join(ctx.sum_octonions(n).serialize()) for n in indices]
+        expected = [f"{n}," + ",".join(map(format_scalar, ctx.sum_octonions(n).components)) for n in indices]
         assert out.splitlines()[1:] == expected
 
 

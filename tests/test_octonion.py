@@ -14,6 +14,7 @@ from trioct import (
     RATIONAL,
     VariantError,
     basis_product,
+    format_scalar,
 )
 from trioct.octonion import _WIDE, MultiplicationTable, _pair_plan
 
@@ -127,13 +128,13 @@ def test_norm_sq_rejects_nonreal_complex():
 
 
 def test_serialization():
-    assert Octonion((0, 1, -2, 3, 4, 5, 6, 7)).serialize() == (
+    assert tuple(map(format_scalar, Octonion((0, 1, -2, 3, 4, 5, 6, 7)).components)) == (
         "0", "1", "-2", "3", "4", "5", "6", "7",
     )
     o = Octonion((Fraction(1, 2),) + (Fraction(0),) * 7)
-    assert o.serialize()[0] == "1/2"
+    assert format_scalar(o.components[0]) == "1/2"
     o = Octonion((1.5 - 2j,) + (0j,) * 7)
-    assert o.serialize()[0] == "1.5-2i"
+    assert format_scalar(o.components[0]) == "1.5-2i"
 
 
 def test_conversions():

@@ -27,6 +27,11 @@ def test_reproduce_tables():
     tribonacci = proc.stdout.split("[tribonacci]")
     assert "w = (-1, -1, -3, -5, -9, -17, -31, -57)" in tribonacci[2]
     assert "m=8: A=24 B=20 C=13" in tribonacci[3]
+    # the catalog's summation forms, each checked against the direct sums
+    assert "disagrees with the direct sums" not in proc.stdout
+    assert "catalog: sum(0..n) = (O(n+2) + O(n) - c) / 2, c = (1, 1, 3, 5, 9, 17, 31, 57)\n" in tribonacci[2]
+    padovan = proc.stdout.split("[padovan]")[2]
+    assert "catalog: sum(0..n) = O(n+5) - c, c = (1, 1, 2, 2, 3, 4, 5, 7)\n" in padovan
 
 
 def test_run_verification():

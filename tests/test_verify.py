@@ -1,6 +1,7 @@
 """The verification suite: grids, skips, negative controls, determinism."""
 
 import operator
+import random
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -11,14 +12,23 @@ from hypothesis import strategies as st
 
 from trioct import (
     CATEGORIES,
+    PRESET_NAMES,
+    Octonion,
     OctSequenceContext,
     RecurrenceParams,
     SuiteConfig,
     VerificationReport,
+    preset_lookup,
     run_suite,
 )
 from trioct import octseq, sequences, verify
-from trioct.sequences import companion_identity, partial_sum_formula, prefix_sum, terms
+from trioct.sequences import (
+    companion_identity,
+    partial_sum_formula,
+    partial_sum_formula_uncorrected,
+    prefix_sum,
+    terms,
+)
 from trioct.verify import EXACT_CATEGORIES, NUMERIC_CATEGORIES
 
 
@@ -147,8 +157,9 @@ def test_config_validation():
         SuiteConfig(presets=("fibonacci",))
     with pytest.raises(ValueError):
         SuiteConfig(tolerances={"recurrence": 1e-6})
-    with pytest.raises(ValueError):
-        SuiteConfig(tolerances={"binet_scalar": 0.0})
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SuiteConfig(tolerances={"binet_scalar": tol})
     with pytest.raises(ValueError):
         SuiteConfig(sum_constants_override={"tribonacci": (1, 2)})
     # every index the checks read must be an index; at n_max = 40 the shifts read m_max + 47
@@ -219,6 +230,16 @@ _PINNED = {
         + ((168, 84, 0), (3168, 0, 0), (328, 308, 0), (164, 164, 0), (104, 104, 0), (372, 372, 0)),
         {"sum_table": 0.5},
         (1, 5),
+    ),
+    # the sign note's n_cap = 3 and the narrowest windows
+    "smallest": (
+        SuiteConfig(n_max=3, m_max=3, random_sets=10, seed=7),
+        (
+            (42, 0, 0), (28, 0, 0), (56, 0, 0), (56, 0, 0), (32, 0, 10), (56, 0, 0),
+            (20, 0, 10), (68, 0, 0), (32, 0, 10), (16, 0, 10), (16, 0, 10), (48, 0, 10),
+        ),
+        {},
+        (7, 15),
     ),
 }
 
@@ -345,13 +366,13 @@ def test_a_tampered_sum_constant_fails_with_its_residual(monkeypatch):
 
 
 class _OneBadValue:
-    """A context for _companion_verdicts and _sum_verdicts on r = 2, s = t = 1, seeds (1, 1, 1),
-    whose term line is one too large at index bad; its combination lines are
-    computed from that line, its correction from the true terms."""
+    """A context for _companion_verdicts and _sum_verdicts (by default on r = 2, s = t = 1,
+    seeds (1, 1, 1)) whose term line is one too large at index bad; its
+    combination lines are computed from that line, its correction from the
+    true terms."""
 
-    params = RecurrenceParams(2, 1, 1, 1, 1, 1)
-
-    def __init__(self, bad):
+    def __init__(self, bad, params=RecurrenceParams(2, 1, 1, 1, 1, 1)):
+        self.params = params
         self.correction = OctSequenceContext(self.params).correction
         self.x = list(islice(terms(self.params), 40))
         self.x[bad] += 1
@@ -375,9 +396,40 @@ def test_a_bad_value_fails_the_sum_and_companion_checks_that_read_it(bad):
         not n - 2 <= bad <= n for n in range(2, 24)
     ]
     # the scalar sum at n reads the terms up to n + 2, the lifted one up to n + 9
-    scalar, lifted = verify._sum_verdicts(ctx, 24)
-    assert scalar == [n < bad - 2 for n in range(24)]
-    assert lifted == [n < bad - 9 for n in range(24)]
+    p = ctx.params
+    form = ((1, 1 - p.r, p.t), 0, p.delta)
+    assert verify._sum_verdicts(ctx, form, (sequences.sum_constant(p, p.s),), 24) == [
+        n < bad - 2 for n in range(24)
+    ]
+    assert verify._sum_verdicts(ctx, form, ctx.correction, 24) == [n < bad - 9 for n in range(24)]
+    # row n of a tabulated form reads comb(n + off + l), at three indices, and x(l) .. x(n + l)
+    for name in PRESET_NAMES:
+        ctx = _OneBadValue(bad, preset_lookup(name))
+        weights, off, d = form = verify.REFERENCE_SUM_FORMS[name]
+        constant = tuple(-c for c in verify.REFERENCE_SUM_CONSTANTS[name])
+
+        def reads(n, l):
+            lhs = sum(w for w, k in zip(weights, range(n + off + l + 2, n + off + l - 1, -1)) if k == bad)
+            return lhs != d * (l <= bad <= n + l)
+
+        assert verify._sum_verdicts(ctx, form, constant, 24) == [
+            not any(reads(n, l) for l in range(8)) for n in range(24)
+        ]
+
+
+# the tabulated summation formulas written out as octonion rows: a reference independent of REFERENCE_SUM_FORMS
+_SUM_ROWS = {
+    "tribonacci": lambda ctx, n, c: (
+        ctx.oct_term(n + 2).as_rational() + ctx.oct_term(n).as_rational() - c
+    ) * Fraction(1, 2),
+    "padovan": lambda ctx, n, c: ctx.oct_term(n + 5).as_rational() - c,
+    "narayana": lambda ctx, n, c: ctx.oct_term(n + 3).as_rational() - c,
+    "third_order_jacobsthal": lambda ctx, n, c: (
+        ctx.oct_term(n + 2).as_rational()
+        + ctx.oct_term(n).as_rational() * Fraction(2)
+        - c
+    ) * Fraction(1, 3),
+}
 
 
 @given(
@@ -385,11 +437,13 @@ def test_a_bad_value_fails_the_sum_and_companion_checks_that_read_it(bad):
     st.booleans(),
     st.integers(3, 14),
     st.sampled_from([0, 0, 1, -2]),
+    st.sampled_from(PRESET_NAMES),
+    st.integers(0, 7),
 )
-@example(RecurrenceParams(1, 1, -1, 0, 1, 1), False, 6, 0)
-@example(RecurrenceParams(0, 0, 1, 0, 0, 0), True, 6, 1)
+@example(RecurrenceParams(1, 1, -1, 0, 1, 1), False, 6, 0, "padovan", 0)
+@example(RecurrenceParams(0, 0, 1, 0, 0, 0), True, 6, 1, "tribonacci", 7)
 @settings(max_examples=100, deadline=None)
-def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, bump):
+def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, bump, preset, slot):
     if rational:
         params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
     with pytest.MonkeyPatch.context() as mp:
@@ -401,10 +455,52 @@ def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, b
         ]
         # the sum checks are skipped at delta = 0, where the closed forms are undefined
         if params.delta != 0:
-            scalar, lifted = verify._sum_verdicts(ctx, n_max + 1)
+            form = ((1, 1 - params.r, params.t), 0, params.delta)
+            scalar = verify._sum_verdicts(ctx, form, (verify.sum_constant(params, params.s),), n_max + 1)
             sums = [partial_sum_formula(params, n) == prefix_sum(params, n) for n in range(n_max + 1)]
             assert scalar == sums
-            assert lifted == [pairs.sum_octonions(n) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)]
+            assert verify._sum_verdicts(ctx, form, ctx.correction, n_max + 1) == [
+                pairs.sum_octonions(n) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)
+            ]
+        # the sign note counts the sets on which the misprinted constant fails at some n <= n_cap
+        n_cap = min(n_max, 10)
+        sets = [p for p in (params, verify._SIGN_WITNESS) if p.delta != 0]
+        bad = sum(
+            any(partial_sum_formula_uncorrected(p, n) != prefix_sum(p, n) for n in range(n_cap + 1))
+            for p in sets
+        )
+        note = verify._sign_erratum_note([(None, params)], SuiteConfig(n_max=n_max))
+        assert note == _sign_erratum(bad, len(sets))
+    # a tabulated form, its constant tampered by bump at slot
+    ctx, pairs = OctSequenceContext(preset_lookup(preset)), OctSequenceContext(preset_lookup(preset))
+    tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
+    tampered[slot] += bump
+    constant = Octonion(tuple(Fraction(c) for c in tampered))
+    form = verify.REFERENCE_SUM_FORMS[preset]
+    assert verify._sum_verdicts(ctx, form, (-constant).components, n_max + 1) == [
+        _SUM_ROWS[preset](pairs, n, constant) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)
+    ]
+
+
+def test_the_sign_note_makes_no_jump(monkeypatch):
+    # the note reads each family's first terms from a line stepped from the seeds
+    calls = []
+    xpow = sequences._CubicQuotient.xpow
+    monkeypatch.setattr(sequences._CubicQuotient, "xpow", lambda ring, n: calls.append(n) or xpow(ring, n))
+    rng = random.Random(1)
+    cases = [(name, preset_lookup(name)) for name in PRESET_NAMES]
+    cases += [(None, verify.make_random_params(rng)) for _ in range(200)]
+    verify._sign_erratum_note(cases, SuiteConfig(random_sets=200, seed=1))
+    assert calls == []
+
+
+def test_passing_sum_checks_build_no_direct_sums(monkeypatch):
+    # only a failing sum_table or octonion_sum check builds the octonion sums it is compared with
+    built = []
+    monkeypatch.setattr(OctSequenceContext, "oct_prefix_sums", lambda ctx, n: built.append(n))
+    report = run_suite(SuiteConfig(random_sets=20))
+    assert report.total_failures == 0 and report.categories["sum_table"].run == 168
+    assert built == []
 
 
 def _tampered_companion(at):
