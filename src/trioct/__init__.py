@@ -34,7 +34,7 @@ _EXPORTS = {
         "partial_sum_formula_uncorrected",
     ),
     "cubic": ("CubicRoots", "discriminant_exact", "cubic_roots", "binet_scalar", "newton_refine_real_root"),
-    "octseq": ("OctSequenceContext", "power_octonion", "sum_correction"),
+    "octseq": ("OctSequenceContext", "sum_correction"),
     "genfunc": ("OctPolynomial", "RationalGF", "gf_numerator", "build_gf", "gf_expand", "format_polynomial"),
     "verify": ("SuiteConfig", "VerificationReport", "CATEGORIES", "run_suite", "make_random_params"),
 }

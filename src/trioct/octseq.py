@@ -7,13 +7,12 @@ exact arithmetic; only the root-based closed forms (Binet, norm, quadratic
 approximation) use floating point.
 
 An OctSequenceContext caches lines, each filled lazily: one of the exact
-terms, jumped to its first index and stepped up; one per weight triple
-(a, b, c) of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k); and
-one of the terms converted to complex for the float checks.  A line holds
-one value per index over a contiguous range that starts at the first index
-asked for and grows down or up as later requests need, so each value is
-computed once.  The context is otherwise read-only; extending a line from
-two threads at once is not safe.
+terms, jumped to its first index and stepped up, and one per weight triple
+(a, b, c) of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k).  A
+line holds one value per index over a contiguous range that starts at the
+first index asked for and grows down or up as later requests need, so each
+value is computed once.  The context is otherwise read-only; extending a
+line from two threads at once is not safe.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ from .sequences import sum_constant, terms
 _TERMS = "terms"  # the term line's key in OctSequenceContext._lines
 
 
-def power_octonion(x: complex) -> Octonion:
-    """The complex octonion with component l equal to x**l (l = 0..7)."""
-    x = complex(x)
-    return Octonion(tuple(x**l for l in range(8)))
-
-
 def sum_correction(params: RecurrenceParams) -> Octonion:
     """The constant octonion closing the prefix-sum formula, exact rational.
 
@@ -51,8 +44,8 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
 
 
 class OctSequenceContext:
-    """The lines of one family's exact terms, three-term combinations and complex
-    terms (see the module docstring), plus its lazy sum correction and root data."""
+    """The lines of one family's exact terms and three-term combinations (see the
+    module docstring), plus its lazy sum correction and root data."""
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
@@ -206,15 +199,16 @@ class OctSequenceContext:
     def oct_binet(self, n: int) -> Octonion:
         """Closed form of the lift from root powers, complex variant.
 
-        Componentwise it approximates oct_term(n); scalars commute with the
-        basis, so each root x contributes power_octonion(x) times its
-        scalar Binet part (see cubic.binet_scalar).
+        Componentwise it approximates oct_term(n): scalars commute with the
+        basis, so component l is the scalar Binet form (see
+        cubic.binet_scalar) with each root x's part times x**l.
         """
         (a, p_a), (b, p_b), (c, p_c) = _binet_parts(self.roots, n, "v")
         # the omega1 line is subtracted with its part negated back: adding
         # it gives the same values, but a component that cancels to zero
         # inside the product (x*y - x*y is +0.0) could flip its zero's sign
-        return _finite(power_octonion(a) * p_a - power_octonion(b) * -p_b + power_octonion(c) * p_c, n)
+        comps = tuple(p_a * a**l - -p_b * b**l + p_c * c**l for l in range(8))
+        return _finite(Octonion._raw(comps, COMPLEX), n)
 
     def binet_term(self, n: int, which: str = "v") -> complex:
         """Scalar closed form (see cubic.binet_scalar) for this context."""
@@ -252,43 +246,30 @@ class OctSequenceContext:
             )
             return _finite((main - 2 * cross) / ro.vandermonde**2, n)
 
-    def _quad_parts(self, n: int, which_root: str) -> tuple[Octonion, Octonion, tuple[Octonion, ...]]:
-        """Quadratic three-term approximation attached to one root, with its addends.
+    def quad_residual(self, n: int, which_root: str) -> float:
+        """Worst componentwise residual of the quadratic three-term approximation.
 
-        lhs = weight * power_octonion(x) * x**(n+2); rhs = x^2*O(n+2) +
-        x*(s*O(n+1) + t*O(n)) + t*O(n+1) with the exact terms promoted to
-        complex, each term once, through the context's complex line.
-        Returns (lhs, rhs, addends of rhs); lhs and rhs agree to rounding
-        error.
+        Component l compares weight * x**(n+2) * x**l, x the named line's
+        root, with component l of x^2*O(n+2) + x*(s*O(n+1) + t*O(n)) +
+        t*O(n+1), the terms promoted to complex.  On the conjugate-root
+        lines these addends, comparable to the dominant root's n-th power,
+        cancel down to nearly nothing, so each residual is normalized by the
+        largest addend entering it, the natural scale for a cancellation check.
         """
         lines = self.roots.lines
         if which_root not in lines:
             raise ValueError(f"which_root must be one of {tuple(lines)}, got {which_root!r}")
         x, weight, _ = lines[which_root]
         s, t = as_complex(self.params.s), as_complex(self.params.t)
-
-        def values(lo: int, hi: int) -> list[complex]:
-            return [as_complex(v) for v in self.line(lo, hi)]
-
         with _within_doubles(f"the root powers or terms at n = {n} are"):
-            lhs = power_octonion(x) * (weight * x ** (n + 2))
-            z = self._span(COMPLEX, n, 10, values)
-            o_n, o_n1, o_n2 = (Octonion._raw(tuple(z[k : k + 8]), COMPLEX) for k in range(3))
-            parts = (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
-            return _finite(lhs, n), _finite(parts[0] + parts[1] + parts[2], n), parts
-
-    def quad_residual(self, n: int, which_root: str) -> float:
-        """Worst componentwise residual of the quadratic identity.
-
-        For the conjugate-root lines both sides combine addends comparable
-        to the dominant root's n-th power that cancel down to nearly
-        nothing, so each component's residual is normalized by the largest
-        addend entering it, the natural scale for a cancellation check.
-        With exactly represented roots the residual would be zero.
-        """
-        lhs, rhs, parts = self._quad_parts(n, which_root)
-        worst = 0.0
-        with _within_doubles(f"the root powers or terms at n = {n} are"):
-            for a, b, *addends in zip(lhs, rhs, *parts):
+            scale = weight * x ** (n + 2)
+            lhs = [scale * x**l for l in range(8)]
+            z = [as_complex(v) for v in self.line(n, n + 10)]
+            parts = [(x * x * z[l + 2], x * (s * z[l + 1] + t * z[l]), t * z[l + 1]) for l in range(8)]
+            rhs = [p + q + r for p, q, r in parts]
+            for value in lhs + rhs:
+                _finite(value, n)
+            worst = 0.0
+            for a, b, addends in zip(lhs, rhs, parts):
                 worst = max(worst, abs(a - b) / max(1.0, abs(a), *map(abs, addends)))
             return _finite(worst, n)

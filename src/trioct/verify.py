@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Mapping
 from .genfunc import build_gf, gf_expand, gf_numerator
 from .octonion import Octonion
 from .octseq import OctSequenceContext, sum_correction
-from .scalars import RegimeError, Scalar, as_complex
+from .scalars import RegimeError, Scalar, VariantError, as_complex
 from .sequences import (
     PRESET_NAMES,
     RecurrenceParams,
@@ -168,6 +168,8 @@ class SuiteConfig:
                 preset_lookup(name)
                 if len(comps) != 8:
                     raise ValueError("sum-constant overrides need 8 components")
+                if not all(type(c) is int or isinstance(c, Fraction) for c in comps):
+                    raise VariantError(f"sum-constant overrides need int or Fraction components: {comps!r}")
 
     @property
     def deepest(self) -> int:
@@ -343,8 +345,11 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     cases += [(None, make_random_params(rng)) for _ in range(config.random_sets)]
 
     results = {name: CategoryResult() for name in CATEGORIES}
+    count = min(config.n_max, 10) + 1  # the sign note's indices, n <= min(n_max, 10)
+    misprint_fails = []  # the sign note's verdict per delta != 0 family, on the checks' context
     for preset, params in cases:
-        for name, checks in _checks(preset, OctSequenceContext(params), config):
+        ctx = OctSequenceContext(params)
+        for name, checks in _checks(preset, ctx, config):
             res = results[name]
             if checks is None:
                 res.skip()
@@ -357,8 +362,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 res.run += passed
                 for lhs, rhs in pairs:
                     _exact_pair(res, lhs, rhs)
+        if params.delta != 0:
+            misprint_fails.append(_misprint_fails(ctx, count))
 
-    errata = [_sign_erratum_note(cases, config), _genfunc_erratum_note()]
+    errata = [_sign_erratum_note(misprint_fails, count), _genfunc_erratum_note()]
     return VerificationReport(categories=results, errata=errata, seed=config.seed)
 
 
@@ -454,8 +461,8 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
 
     yield "binet_scalar", (
         _rel_residual(ctx.binet_term(n, which), exact)
-        for n, v, u in zip(upto("binet_scalar"), terms(params), terms(params, companion=True))
-        for which, exact in (("v", v), ("u", u))
+        for n, v, w in zip(upto("binet_scalar"), ctx.line(0, n_max + 1), u)
+        for which, exact in (("v", v), ("u", w))
     ) if rooted else None
     yield "binet_octonion", (
         _rel_residual(ctx.oct_binet(n), ctx.oct_term(n)) for n in upto("binet_octonion")
@@ -468,26 +475,20 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     ) if rooted else None
 
 
-def _sign_erratum_note(
-    cases: list[tuple[str | None, RecurrenceParams]],
-    config: SuiteConfig,
-) -> str:
-    """Diagnostic of the misprinted (r-s-1)*v0 summation constant.
+def _misprint_fails(ctx: OctSequenceContext, count: int) -> bool:
+    """Whether the misprinted (r-s-1)*v0 sum constant fails at some n < count (delta != 0),
+    decided on the scalar sum's form as scalar_sum decides the corrected constant."""
+    p = ctx.params
+    return not all(_sum_verdicts(ctx, ((1, 1 - p.r, p.t), 0, p.delta), (sum_constant(p, -p.s),), count))
 
-    Counts, over the configured parameter sets plus a fixed witness, how
-    many delta != 0 sets the misprinted constant fails on at some
-    n <= min(n_max, 10), decided on the scalar sum's form as scalar_sum
-    decides the corrected constant.
-    """
-    count = min(config.n_max, 10) + 1
-    sets = [p for _, p in [*cases, (None, _SIGN_WITNESS)] if p.delta != 0]
-    bad = 0
-    for p in sets:
-        form = ((1, 1 - p.r, p.t), 0, p.delta)
-        bad += not all(_sum_verdicts(OctSequenceContext(p), form, (sum_constant(p, -p.s),), count))
+
+def _sign_erratum_note(fails: list[bool], count: int) -> str:
+    """Diagnostic of the misprinted summation constant: fails holds _misprint_fails at
+    count for each configured delta != 0 parameter set, and a fixed witness is added."""
+    fails = [*fails, _misprint_fails(OctSequenceContext(_SIGN_WITNESS), count)]
     return (
         "summation-constant sign: the (r-s-1)*v0 variant fails on "
-        f"{bad} of {len(sets)} delta!=0 parameter sets "
+        f"{sum(fails)} of {len(fails)} delta!=0 parameter sets "
         "(witness r=1 s=1 t=1 v0=1 v1=0 v2=0, n=0); "
         "the verified (r+s-1)*v0 form is used throughout"
     )

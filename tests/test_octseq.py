@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trioct import (
@@ -15,10 +15,11 @@ from trioct import (
     RecurrenceParams,
     RegimeError,
     gf_numerator,
-    power_octonion,
     preset_lookup,
     sum_correction,
 )
+from trioct.cubic import _binet_parts, _finite, _within_doubles
+from trioct.scalars import COMPLEX, as_complex
 from trioct.sequences import _CubicQuotient, terms
 
 SUM_CONSTANTS = {
@@ -86,11 +87,6 @@ def test_recurrence_exact_over_window(name):
     for n in range(1, 60):
         lhs, rhs = ctx.recurrence_check(n)
         assert lhs == rhs
-
-
-def test_power_octonion():
-    o = power_octonion(2 + 0j)
-    assert o.components == tuple(complex(2**l) for l in range(8))
 
 
 def test_oct_binet_examples():
@@ -225,7 +221,6 @@ def test_root_forms_near_double_limit_are_finite_or_raise():
         (range(1100, 1171), lambda n: ctx.binet_term(n, "u")),
         (range(560, 591), ctx.norm_formula_complex),
         (range(560, 591), lambda n: ctx.norm_formula_complex(n).real),
-        *((range(1100, 1171), lambda n, line=line: ctx._quad_parts(n, line)) for line in lines),
         *((range(1100, 1171), lambda n, line=line: ctx.quad_residual(n, line)) for line in lines),
     ]
     raised = 0
@@ -238,11 +233,11 @@ def test_root_forms_near_double_limit_are_finite_or_raise():
                 continue
             assert _all_finite(value), (form, n, value)
     assert raised > 0
-    # the residual fails where the identity does, instead of dropping a nan
+    # the residual fails where the identity's sides do, instead of dropping a nan
     for line in lines:
         for n in range(1100, 1171):
             try:
-                ctx._quad_parts(n, line)
+                _octonion_quad_parts(ctx, n, line)
             except RegimeError:
                 with pytest.raises(RegimeError):
                     ctx.quad_residual(n, line)
@@ -316,15 +311,92 @@ def test_quad_approx_window(name):
 
 
 def test_quad_approx_zero_initials():
+    # zero seeds give a zero weight and zero terms: both sides vanish on every line
     ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 0, 0))
-    lhs, rhs, _ = ctx._quad_parts(4, "alpha")
-    assert all(abs(c) <= 1e-12 for c in lhs.components)
-    assert all(abs(c) <= 1e-12 for c in rhs.components)
+    for n in (0, 4, 30):
+        for line in ("alpha", "omega1", "omega2"):
+            assert ctx.quad_residual(n, line) == 0.0
 
 
 def test_quad_approx_bad_root_name():
     with pytest.raises(ValueError):
         ctx_for("tribonacci").quad_residual(0, "beta")
+
+
+# The root-based forms as octonion arithmetic, the way the library computed
+# them before it went per component: the reference for the pins below.
+
+
+def _power_octonion(x):
+    x = complex(x)
+    return Octonion(tuple(x**l for l in range(8)))
+
+
+def _octonion_binet(ctx, n):
+    (a, p_a), (b, p_b), (c, p_c) = _binet_parts(ctx.roots, n, "v")
+    return _finite(_power_octonion(a) * p_a - _power_octonion(b) * -p_b + _power_octonion(c) * p_c, n)
+
+
+def _octonion_quad_parts(ctx, n, which_root):
+    x, weight, _ = ctx.roots.lines[which_root]
+    s, t = as_complex(ctx.params.s), as_complex(ctx.params.t)
+    with _within_doubles(f"the root powers or terms at n = {n} are"):
+        lhs = _power_octonion(x) * (weight * x ** (n + 2))
+        z = [as_complex(v) for v in islice(terms(ctx.params, start=n), 10)]
+        o_n, o_n1, o_n2 = (Octonion._raw(tuple(z[k : k + 8]), COMPLEX) for k in range(3))
+        parts = (o_n2 * (x * x), (o_n1 * s + o_n * t) * x, o_n1 * t)
+        return _finite(lhs, n), _finite(parts[0] + parts[1] + parts[2], n), parts
+
+
+def _octonion_quad_residual(ctx, n, which_root):
+    lhs, rhs, parts = _octonion_quad_parts(ctx, n, which_root)
+    worst = 0.0
+    with _within_doubles(f"the root powers or terms at n = {n} are"):
+        for a, b, *addends in zip(lhs, rhs, *parts):
+            worst = max(worst, abs(a - b) / max(1.0, abs(a), *map(abs, addends)))
+        return _finite(worst, n)
+
+
+def _bits(form, *args):
+    """float.hex of both parts of every component, or the RegimeError's message."""
+    try:
+        value = form(*args)
+    except RegimeError as e:
+        return str(e)
+    if isinstance(value, float):
+        return value.hex()
+    return [(c.real.hex(), c.imag.hex()) for c in value.components]
+
+
+_FORM_FAMILIES = {
+    **{name: preset_lookup(name) for name in PRESET_NAMES},
+    # zero seeds: every component is a zero whose sign the operation order decides;
+    # on the second family, writing the omega1 part's "- -p" as "+ p" flips some
+    "zero seeds": RecurrenceParams(1, 1, 1, 0, 0, 0),
+    "zero seeds, negative coefficients": RecurrenceParams(-1, -1, -1, 0, 0, 0),
+    # a large t: near n = 238 an addend of the alpha line's right side overflows while its
+    # left side stays finite, so only the right side's finiteness check raises
+    "large t": RecurrenceParams(1, -70, 4804, -1, 3, -2),
+}
+
+
+def _pinned_indices(test):
+    # every family near 0, and tribonacci and the large-t family where the root powers leave double range
+    cases = [(name, n) for name in _FORM_FAMILIES for n in (0, 1, 7, 30, 40)]
+    cases += [("tribonacci", n) for n in range(1100, 1171)] + [("large t", n) for n in range(230, 245)]
+    for name, n in cases:
+        test = example(name, n)(test)
+    return test
+
+
+@_pinned_indices
+@given(st.sampled_from(sorted(_FORM_FAMILIES)), st.integers(0, 1200))
+@settings(max_examples=60, deadline=None)
+def test_component_forms_match_the_octonion_forms_bit_for_bit(name, n):
+    ctx = OctSequenceContext(_FORM_FAMILIES[name])
+    assert _bits(ctx.oct_binet, n) == _bits(_octonion_binet, ctx, n)
+    for line in ("alpha", "omega1", "omega2"):
+        assert _bits(ctx.quad_residual, n, line) == _bits(_octonion_quad_residual, ctx, n, line)
 
 
 @given(int_params, st.integers(1, 25))
@@ -444,9 +516,10 @@ def test_a_deep_call_computes_only_the_indices_it_returns(monkeypatch):
     total = fresh.sum_octonions(5000)
     assert asked[2:] == [(5000, 5008)]
     assert total == fresh.oct_prefix_sum(5000)
-    # the float checks convert each term they read to complex once
+    # the float checks read the term line and keep no line of their own
+    lines = {key: [start, list(values)] for key, (start, values) in fresh._lines.items()}
     fresh.quad_residual(20, "alpha")
-    assert fresh._lines["complex"] == [20, [complex(x) for x in islice(terms(fresh.params), 20, 30)]]
+    assert fresh._lines == lines
 
 
 @pytest.mark.parametrize(

@@ -32,10 +32,3 @@ def test_reproduce_tables():
     assert "catalog: sum(0..n) = (O(n+2) + O(n) - c) / 2, c = (1, 1, 3, 5, 9, 17, 31, 57)\n" in tribonacci[2]
     padovan = proc.stdout.split("[padovan]")[2]
     assert "catalog: sum(0..n) = O(n+5) - c, c = (1, 1, 2, 2, 3, 4, 5, 7)\n" in padovan
-
-
-def test_run_verification():
-    proc = run_script("run_verification.py", "--random-sets", "3", "--n-max", "10", "--m-max", "4")
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "result: PASS" in proc.stdout

@@ -17,6 +17,7 @@ from trioct import (
     OctSequenceContext,
     RecurrenceParams,
     SuiteConfig,
+    VariantError,
     VerificationReport,
     preset_lookup,
     run_suite,
@@ -162,6 +163,13 @@ def test_config_validation():
             SuiteConfig(tolerances={"binet_scalar": tol})
     with pytest.raises(ValueError):
         SuiteConfig(sum_constants_override={"tribonacci": (1, 2)})
+    # an override is exact: a float, a string or a complex component is rejected up front
+    head = (1, 1, 3, 5, 9, 17, 31)
+    for comps in (head + (57.0000000001,), tuple(map(str, head + (57,))), head + (57 + 0j,)):
+        with pytest.raises(VariantError):
+            SuiteConfig(sum_constants_override={"tribonacci": comps})
+    exact = SuiteConfig(sum_constants_override={"tribonacci": head + (Fraction(57),)})
+    assert exact.sum_constant("tribonacci") == head + (57,)
     # every index the checks read must be an index; at n_max = 40 the shifts read m_max + 47
     with pytest.raises(ValueError, match=str(sys.maxsize)):
         SuiteConfig(n_max=10**20)
@@ -469,8 +477,9 @@ def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, b
             any(partial_sum_formula_uncorrected(p, n) != prefix_sum(p, n) for n in range(n_cap + 1))
             for p in sets
         )
-        note = verify._sign_erratum_note([(None, params)], SuiteConfig(n_max=n_max))
-        assert note == _sign_erratum(bad, len(sets))
+        # decided on the context the checks above read, as run_suite does
+        fails = [verify._misprint_fails(ctx, n_cap + 1)] if params.delta != 0 else []
+        assert verify._sign_erratum_note(fails, n_cap + 1) == _sign_erratum(bad, len(sets))
     # a tabulated form, its constant tampered by bump at slot
     ctx, pairs = OctSequenceContext(preset_lookup(preset)), OctSequenceContext(preset_lookup(preset))
     tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
@@ -490,8 +499,22 @@ def test_the_sign_note_makes_no_jump(monkeypatch):
     rng = random.Random(1)
     cases = [(name, preset_lookup(name)) for name in PRESET_NAMES]
     cases += [(None, verify.make_random_params(rng)) for _ in range(200)]
-    verify._sign_erratum_note(cases, SuiteConfig(random_sets=200, seed=1))
+    fails = [verify._misprint_fails(OctSequenceContext(p), 11) for _, p in cases if p.delta != 0]
+    verify._sign_erratum_note(fails, 11)
     assert calls == []
+
+
+def test_one_context_and_one_stream_per_family(monkeypatch):
+    # the sign note reads the context the checks used; only its witness gets one of its own
+    built, init = [], OctSequenceContext.__init__
+    monkeypatch.setattr(OctSequenceContext, "__init__", lambda ctx, p: built.append(p) or init(ctx, p))
+    # the companion terms are read once, by the companion check and the scalar Binet check alike
+    streams, stream = [], verify.terms
+    monkeypatch.setattr(verify, "terms", lambda *args, **kw: streams.append(args) or stream(*args, **kw))
+    run_suite(SuiteConfig(random_sets=200, seed=1))
+    assert len(built) == 4 + 200 + 1
+    assert built[-1] == verify._SIGN_WITNESS
+    assert len(streams) == 4 + 200
 
 
 def test_passing_sum_checks_build_no_direct_sums(monkeypatch):
