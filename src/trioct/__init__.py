@@ -35,7 +35,15 @@ _EXPORTS = {
     ),
     "cubic": ("CubicRoots", "discriminant_exact", "cubic_roots", "binet_scalar", "newton_refine_real_root"),
     "octseq": ("OctSequenceContext", "sum_correction"),
-    "genfunc": ("OctPolynomial", "RationalGF", "gf_numerator", "build_gf", "gf_expand", "format_polynomial"),
+    "genfunc": (
+        "OctPolynomial",
+        "RationalGF",
+        "gf_numerator",
+        "build_gf",
+        "gf_columns",
+        "gf_expand",
+        "format_polynomial",
+    ),
     "verify": ("SuiteConfig", "VerificationReport", "CATEGORIES", "run_suite", "make_random_params"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -13,8 +13,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator
 
 from .scalars import RegimeError
 from .sequences import RecurrenceParams, _check_index
@@ -89,10 +89,14 @@ def _within_doubles(what: str) -> Iterator[None]:
         raise RegimeError(f"{what} {_NEEDS_DOUBLES}") from None
 
 
+def _out_of_range(n: int, what: str = "the root powers") -> RegimeError:
+    return RegimeError(f"{what} at n = {n} are {_NEEDS_DOUBLES}")
+
+
 def _finite(value, n: int):
     # complex products and sums overflow to inf or nan without raising
     if not all(map(cmath.isfinite, getattr(value, "components", (value,)))):
-        raise RegimeError(f"the root powers at n = {n} are {_NEEDS_DOUBLES}")
+        raise _out_of_range(n)
     return value
 
 
@@ -151,16 +155,57 @@ def cubic_roots(params: RecurrenceParams) -> CubicRoots:
     )
 
 
-def _binet_parts(roots: CubicRoots, n: int, which: str) -> list[tuple[complex, complex]]:
-    """(x, part) per root: weight*x**n/f'(x) for which="v", x**(n+1)/f'(x) for "u"."""
-    _check_index(n)
+def _window(lo: int, hi: int) -> range:
+    """The indices lo .. hi - 1 of a closed form's window; ValueError unless 0 <= lo <= hi."""
+    _check_index(lo)
+    if hi < lo:
+        raise ValueError(f"a window needs lo <= hi, got {lo} .. {hi}")
+    return range(lo, hi)
+
+
+def _upto_overflow(f: Callable, items: Iterable) -> list:
+    """f of each item, up to the first whose double overflows (OverflowError)."""
+    out = []
+    try:
+        for item in items:
+            out.append(f(item))
+    except OverflowError:
+        pass
+    return out
+
+
+def _complete(values: list, lo: int, hi: int) -> list:
+    # a window whose shared values stopped short fails at the first index they miss
+    if len(values) < hi - lo:
+        raise _out_of_range(lo + len(values))
+    return values
+
+
+def _binet_parts(roots: CubicRoots, lo: int, hi: int, which: str) -> list[tuple[complex, complex, complex]]:
+    """The part of each root line at n = lo .. hi - 1, up to the first n whose root power overflows.
+
+    A part is weight*x**n/f'(x) for which="v" and x**(n+1)/f'(x) for "u",
+    one power per root and index.
+    """
+    _window(lo, hi)
     if which not in ("v", "u"):
         raise ValueError(f"which must be 'v' or 'u', got {which!r}")
-    with _within_doubles(f"the root powers at n = {n} are"):
-        return [
-            (x, weight * x**n / fprime if which == "v" else x ** (n + 1) / fprime)
-            for x, weight, fprime in roots.lines.values()
-        ]
+    shift = which == "u"
+    parts = []
+    for x, weight, fprime in roots.lines.values():
+        powers = _upto_overflow(partial(pow, x), range(lo + shift, hi + shift))
+        parts.append([p / fprime for p in powers] if shift else [weight * p / fprime for p in powers])
+    return list(zip(*parts))
+
+
+def binet_scalars(roots: CubicRoots, lo: int, hi: int, which: str = "v") -> list[complex]:
+    """Closed-form terms lo .. hi - 1 from root powers (see binet_scalar).
+
+    RegimeError, with binet_scalar's message, at the first index whose
+    root power or result leaves double range.
+    """
+    out = [_finite(a + b + c, n) for n, (a, b, c) in enumerate(_binet_parts(roots, lo, hi, which), lo)]
+    return _complete(out, lo, hi)
 
 
 def binet_scalar(roots: CubicRoots, n: int, which: str = "v") -> complex:
@@ -170,10 +215,9 @@ def binet_scalar(roots: CubicRoots, n: int, which: str = "v") -> complex:
     companion family (weights reduce to pure root powers).  The result is
     complex with a tiny imaginary residue; the real part approximates the
     exact integer/rational term.  RegimeError once a root power or the
-    result leaves double range.
+    result leaves double range.  The window of one index of binet_scalars.
     """
-    (_, a), (_, b), (_, c) = _binet_parts(roots, n, which)
-    return _finite(a + b + c, n)
+    return binet_scalars(roots, n, n + 1, which)[0]
 
 
 def newton_refine_real_root(params: RecurrenceParams, start: float, sweeps: int = 60) -> float:

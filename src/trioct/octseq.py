@@ -4,7 +4,10 @@ The lift of a family at index n is the octonion whose components are the
 eight consecutive exact terms (term(n), ..., term(n+7)).  Identities that
 hold term by term (recurrence, prefix sums, index shifts) are computed in
 exact arithmetic; only the root-based closed forms (Binet, norm, quadratic
-approximation) use floating point.
+approximation) use floating point.  Each of those is one window evaluator
+over the indices lo .. hi - 1 that computes what its indices share once
+(root powers, the terms as complex, the quadratic form's right side per
+term); its single-index method is the window of one, with the same bits.
 
 An OctSequenceContext caches lines, each filled lazily: one of the exact
 terms, jumped to its first index and stepped up, and one per weight triple
@@ -17,12 +20,15 @@ line from two threads at once is not safe.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from typing import Callable
 
-from .cubic import CubicRoots, _binet_parts, _finite, _within_doubles, binet_scalar, cubic_roots
+from .cubic import CubicRoots, _binet_parts, _complete, _finite, _out_of_range, _upto_overflow, _window
+from .cubic import binet_scalar, cubic_roots
 from .octonion import Octonion
 from .scalars import COMPLEX, INT, RATIONAL, RegimeError, Scalar, as_complex
 from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights, _stepped
@@ -196,33 +202,43 @@ class OctSequenceContext:
 
     # -- root-based closed forms (floating point) ---------------------------
 
-    def oct_binet(self, n: int) -> Octonion:
-        """Closed form of the lift from root powers, complex variant.
+    def oct_binets(self, lo: int, hi: int) -> list[Octonion]:
+        """Closed forms of the lifts at lo .. hi - 1 from root powers, complex variant.
 
-        Componentwise it approximates oct_term(n): scalars commute with the
+        Componentwise each approximates its oct_term: scalars commute with the
         basis, so component l is the scalar Binet form (see
-        cubic.binet_scalar) with each root x's part times x**l.
+        cubic.binet_scalar) with each root x's part times x**l.  RegimeError
+        at the first index whose root powers or components leave double range.
         """
-        (a, p_a), (b, p_b), (c, p_c) = _binet_parts(self.roots, n, "v")
-        # the omega1 line is subtracted with its part negated back: adding
-        # it gives the same values, but a component that cancels to zero
-        # inside the product (x*y - x*y is +0.0) could flip its zero's sign
-        comps = tuple(p_a * a**l - -p_b * b**l + p_c * c**l for l in range(8))
-        return _finite(Octonion._raw(comps, COMPLEX), n)
+        a8, b8, c8 = ([x**l for l in range(8)] for x, _, _ in self.roots.lines.values())
+        out = []
+        for n, (p_a, p_b, p_c) in enumerate(_binet_parts(self.roots, lo, hi, "v"), lo):
+            # the omega1 line is subtracted with its part negated back: adding
+            # it gives the same values, but a component that cancels to zero
+            # inside the product (x*y - x*y is +0.0) could flip its zero's sign
+            comps = tuple(p_a * a - -p_b * b + p_c * c for a, b, c in zip(a8, b8, c8))
+            out.append(_finite(Octonion._raw(comps, COMPLEX), n))
+        return _complete(out, lo, hi)
+
+    def oct_binet(self, n: int) -> Octonion:
+        """Closed form of the lift at n: the window of one index of oct_binets."""
+        return self.oct_binets(n, n + 1)[0]
 
     def binet_term(self, n: int, which: str = "v") -> complex:
         """Scalar closed form (see cubic.binet_scalar) for this context."""
         return binet_scalar(self.roots, n, which)
 
-    def norm_formula_complex(self, n: int) -> complex:
-        """Closed form of norm_sq(n) before dropping the imaginary residue.
+    def norm_formulas_complex(self, lo: int, hi: int) -> list[complex]:
+        """Closed forms of norm_sq at lo .. hi - 1 before dropping the imaginary residue.
 
-        Its real part is the closed form; the imaginary part shows how much
-        the floating evaluation leaked.
+        Each real part is the closed form; the imaginary part shows how much
+        the floating evaluation leaked.  RegimeError at the first index whose
+        root powers or result leave double range.
         """
         ro = self.roots
         (a, wa, _), (w1, wq, _), (w2, wr, _) = ro.lines.values()
         d12, da1, da2 = w1 - w2, a - w1, a - w2
+        aw1, aw2, w12 = a * w1, a * w2, w1 * w2
 
         def even_powers(x: complex) -> complex:
             return sum(x ** (2 * l) for l in range(8))
@@ -230,46 +246,83 @@ class OctSequenceContext:
         def geometric8(x: complex) -> complex:
             return sum(x**l for l in range(8))
 
-        with _within_doubles(f"the root powers at n = {n} are"):
-            main = (
-                d12**2 * wa**2 * even_powers(a) * a ** (2 * n)
-                + da2**2 * wq**2 * even_powers(w1) * w1 ** (2 * n)
-                + da1**2 * wr**2 * even_powers(w2) * w2 ** (2 * n)
-            )
-            # cross terms carry the signs of the squared three-term expansion:
-            # the alpha/omega2 pair enters positively, so it is subtracted inside
-            # the bracket below (the whole bracket is then subtracted twice)
-            cross = (
-                d12 * da2 * wa * wq * geometric8(a * w1) * (a * w1) ** n
-                - d12 * da1 * wa * wr * geometric8(a * w2) * (a * w2) ** n
-                + da1 * da2 * wq * wr * geometric8(w1 * w2) * (w1 * w2) ** n
-            )
-            return _finite((main - 2 * cross) / ro.vandermonde**2, n)
+        indices, out = _window(lo, hi), []
+        if not indices:
+            return out
+        n = lo
+        try:
+            # each addend's factors but its power of n, multiplied left to right as at every index
+            main_a = d12**2 * wa**2 * even_powers(a)
+            main_q = da2**2 * wq**2 * even_powers(w1)
+            main_r = da1**2 * wr**2 * even_powers(w2)
+            cross_a = d12 * da2 * wa * wq * geometric8(aw1)
+            cross_q = d12 * da1 * wa * wr * geometric8(aw2)
+            cross_r = da1 * da2 * wq * wr * geometric8(w12)
+            vandermonde2 = ro.vandermonde**2
+            for n in indices:
+                main = main_a * a ** (2 * n) + main_q * w1 ** (2 * n) + main_r * w2 ** (2 * n)
+                # cross terms carry the signs of the squared three-term expansion:
+                # the alpha/omega2 pair enters positively, so it is subtracted inside
+                # the bracket below (the whole bracket is then subtracted twice)
+                cross = cross_a * aw1**n - cross_q * aw2**n + cross_r * w12**n
+                out.append(_finite((main - 2 * cross) / vandermonde2, n))
+        except OverflowError:
+            raise _out_of_range(n) from None
+        return out
 
-    def quad_residual(self, n: int, which_root: str) -> float:
-        """Worst componentwise residual of the quadratic three-term approximation.
+    def norm_formula_complex(self, n: int) -> complex:
+        """Closed form of norm_sq(n): the window of one index of norm_formulas_complex."""
+        return self.norm_formulas_complex(n, n + 1)[0]
 
-        Component l compares weight * x**(n+2) * x**l, x the named line's
+    def quad_residuals(self, lo: int, hi: int, which_root: str) -> list[float]:
+        """Worst componentwise residuals of the quadratic three-term approximation at lo .. hi - 1.
+
+        Component l at n compares weight * x**(n+2) * x**l, x the named line's
         root, with component l of x^2*O(n+2) + x*(s*O(n+1) + t*O(n)) +
         t*O(n+1), the terms promoted to complex.  On the conjugate-root
         lines these addends, comparable to the dominant root's n-th power,
         cancel down to nearly nothing, so each residual is normalized by the
         largest addend entering it, the natural scale for a cancellation check.
+        The addends depend on k = n + l only and are computed once per k.
+
+        RegimeError at the first index whose root powers, terms or residual
+        leave double range, with the message quad_residual gives there.
         """
         lines = self.roots.lines
         if which_root not in lines:
             raise ValueError(f"which_root must be one of {tuple(lines)}, got {which_root!r}")
         x, weight, _ = lines[which_root]
         s, t = as_complex(self.params.s), as_complex(self.params.t)
-        with _within_doubles(f"the root powers or terms at n = {n} are"):
-            scale = weight * x ** (n + 2)
-            lhs = [scale * x**l for l in range(8)]
-            z = [as_complex(v) for v in self.line(n, n + 10)]
-            parts = [(x * x * z[l + 2], x * (s * z[l + 1] + t * z[l]), t * z[l + 1]) for l in range(8)]
-            rhs = [p + q + r for p, q, r in parts]
-            for value in lhs + rhs:
-                _finite(value, n)
-            worst = 0.0
-            for a, b, addends in zip(lhs, rhs, parts):
-                worst = max(worst, abs(a - b) / max(1.0, abs(a), *map(abs, addends)))
-            return _finite(worst, n)
+        # each up to its first overflow: weight * x**(n+2) per n, then the terms
+        # those indices read, as complex
+        scales = _upto_overflow(lambda n: weight * x ** (n + 2), _window(lo, hi))
+        z = _upto_overflow(as_complex, self.line(lo, lo + len(scales) + 9) if scales else ())
+        # per k - lo: the right side and the largest size of its addends
+        xx, rhs, sizes = x * x, [], []
+        for k in range(len(z) - 2):
+            p, q, r = xx * z[k + 2], x * (s * z[k + 1] + t * z[k]), t * z[k + 1]
+            rhs.append(p + q + r)
+            try:
+                sizes.append(max(abs(p), abs(q), abs(r)))
+            except OverflowError:
+                sizes.append(math.inf)  # fails each index that reads it, once its sides are finite
+        powers, out = [x**l for l in range(8)], []
+        n = lo
+        try:
+            for i, n in enumerate(range(lo, hi)):
+                if i >= len(scales) or i + 10 > len(z):
+                    raise OverflowError
+                lhs, right, size = [scales[i] * power for power in powers], rhs[i : i + 8], sizes[i : i + 8]
+                if not all(map(cmath.isfinite, lhs + right)):
+                    raise _out_of_range(n)
+                if math.inf in size:
+                    raise OverflowError
+                residuals = [abs(a - b) / max(1.0, abs(a), c) for a, b, c in zip(lhs, right, size)]
+                out.append(_finite(max(0.0, *residuals), n))
+        except OverflowError:
+            raise _out_of_range(n, "the root powers or terms") from None
+        return out
+
+    def quad_residual(self, n: int, which_root: str) -> float:
+        """The quadratic approximation's residual at n: the window of one index of quad_residuals."""
+        return self.quad_residuals(n, n + 1, which_root)[0]

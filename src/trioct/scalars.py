@@ -64,8 +64,7 @@ def as_rational(value: Scalar) -> Fraction:
 
 def as_complex(value: Scalar) -> complex:
     """Explicit (possibly lossy) conversion to the complex-float variant."""
-    kind = variant_of(value)
-    if kind == COMPLEX:
+    if type(value) is complex or variant_of(value) == COMPLEX:
         return value
     return complex(float(value))
 

@@ -10,11 +10,13 @@ formulas, a nonpositive discriminant for anything root-based) are counted
 as skipped, not failed.
 
 The scalar identities (the companion expansion, the closed-form prefix
-sum) and the lifted ones (the recurrence, the index shifts, the lifted and
-tabulated prefix sums) are decided once per index on the context's scalar
-lines, every prefix-sum form by _sum_verdicts; only a failing index builds
-its pair through the library function that states the identity, so its
-residual is the one that function gives.
+sum), the lifted ones (the recurrence, the index shifts, the lifted and
+tabulated prefix sums) and the generating function's expansion are
+decided once per index on the context's scalar lines, every prefix-sum
+form by _sum_verdicts and the expansion on its slot columns; only a
+failing index builds its pair through the library function that states
+the identity, so its residual is the one that function gives.  Each
+root-based closed form is evaluated as one window of indices.
 
 Aggregation is order-independent (sums and maxima), so checks could be
 evaluated in any order or concurrently without changing the report.
@@ -32,10 +34,11 @@ from itertools import accumulate, chain, islice
 from operator import eq
 from typing import Callable, Iterator, Mapping
 
-from .genfunc import build_gf, gf_expand, gf_numerator
+from .cubic import binet_scalars
+from .genfunc import build_gf, gf_columns, gf_expand, gf_numerator
 from .octonion import Octonion
 from .octseq import OctSequenceContext, sum_correction
-from .scalars import RegimeError, Scalar, VariantError, as_complex
+from .scalars import COMPLEX, RegimeError, Scalar, VariantError, as_complex
 from .sequences import (
     PRESET_NAMES,
     RecurrenceParams,
@@ -335,6 +338,18 @@ def _sum_verdicts(
     return [gaps[n : n + width] == targets for n in range(count)]
 
 
+def _genfunc_verdicts(ctx: OctSequenceContext, count: int) -> list[bool]:
+    """Whether the generating function's coefficient n equals O(n), at n = 0 .. count - 1.
+
+    Slot l of coefficient n is column l of gf_columns at n, and component l
+    of O(n) is term n + l, so each column is compared with the term line
+    from l once per index.
+    """
+    x = ctx.line(0, count + 7)
+    agree = (map(eq, column, x[l:]) for l, column in enumerate(gf_columns(build_gf(ctx), count)))
+    return list(map(all, zip(*agree)))
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run every identity over the configured grid; deterministic given seed."""
     rng = random.Random(config.seed)
@@ -434,8 +449,11 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
             else:
                 table.append(((computed, computed != printed), (misprint, True)))
         yield "genfunc_table", (0, table)
-    expanded = gf_expand(build_gf(ctx), min(n_max + 1, 50))
-    yield "genfunc_roundtrip", (0, zip(expanded, map(ctx.oct_term, range(n_max + 1))))
+    count = min(n_max + 1, 50)
+    expanded = cache(lambda: gf_expand(build_gf(ctx), count))
+    yield "genfunc_roundtrip", settle(
+        _genfunc_verdicts(ctx, count), lambda n: (expanded()[n], ctx.oct_term(n))
+    )
     if not tabulated:
         yield "sum_table", None
     else:
@@ -455,24 +473,29 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     )
     yield "shift_formula", (sum(passed), chain(*failing, *patterns))
 
-    def upto(name: str) -> range:
-        # the index window inside which the closed form is contracted to hold
-        return range(min(n_max, NUMERIC_WINDOWS[name]) + 1)
+    def upto(name: str) -> int:
+        # the end of the index window inside which the closed form is contracted to hold
+        return min(n_max, NUMERIC_WINDOWS[name]) + 1
 
-    yield "binet_scalar", (
-        _rel_residual(ctx.binet_term(n, which), exact)
-        for n, v, w in zip(upto("binet_scalar"), ctx.line(0, n_max + 1), u)
-        for which, exact in (("v", v), ("u", w))
-    ) if rooted else None
+    if not rooted:
+        yield from ((name, None) for name in NUMERIC_CATEGORIES)
+        return
+    end = upto("binet_scalar")
+    yield "binet_scalar", chain(
+        map(_rel_residual, binet_scalars(ctx.roots, 0, end, "v"), ctx.line(0, end)),
+        map(_rel_residual, binet_scalars(ctx.roots, 0, end, "u"), u),
+    )
+    end = upto("binet_octonion")
+    # component l of oct_term(n) is term n + l: each term converted once
+    z = list(map(as_complex, ctx.line(0, end + 7)))
     yield "binet_octonion", (
-        _rel_residual(ctx.oct_binet(n), ctx.oct_term(n)) for n in upto("binet_octonion")
-    ) if rooted else None
-    yield "norm_formula", (
-        _rel_residual(ctx.norm_formula_complex(n), ctx.norm_sq(n)) for n in upto("norm_formula")
-    ) if rooted else None
-    yield "quad_approx", (
-        ctx.quad_residual(n, line) for n in upto("quad_approx") for line in ("alpha", "omega1", "omega2")
-    ) if rooted else None
+        _rel_residual(approx, Octonion._raw(tuple(z[n : n + 8]), COMPLEX))
+        for n, approx in enumerate(ctx.oct_binets(0, end))
+    )
+    end = upto("norm_formula")
+    yield "norm_formula", map(_rel_residual, ctx.norm_formulas_complex(0, end), map(ctx.norm_sq, range(end)))
+    end = upto("quad_approx")
+    yield "quad_approx", chain.from_iterable(ctx.quad_residuals(0, end, line) for line in ctx.roots.lines)
 
 
 def _misprint_fails(ctx: OctSequenceContext, count: int) -> bool:

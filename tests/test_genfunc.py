@@ -12,8 +12,10 @@ from trioct import (
     Octonion,
     RationalGF,
     RecurrenceParams,
+    VariantError,
     build_gf,
     format_polynomial,
+    gf_columns,
     gf_expand,
     gf_numerator,
     preset_lookup,
@@ -106,12 +108,37 @@ def test_denominator_centrality_rational_params():
     assert gf_expand(gf, 15) == gf_expand(gf, 15, "left") == gf_expand(gf, 15, "right")
 
 
-@given(int_params)
+@given(int_params, st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_round_trip_random_params(params):
+def test_round_trip_random_params(params, rational):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
     ctx = OctSequenceContext(params)
-    for n, coeff in enumerate(gf_expand(build_gf(ctx), 20)):
+    gf = build_gf(ctx)
+    expanded = gf_expand(gf, 20)
+    for n, coeff in enumerate(expanded):
         assert coeff == ctx.oct_term(n)
+    # the three modes agree, and the scalar one is the slot columns
+    assert expanded == gf_expand(gf, 20, "left") == gf_expand(gf, 20, "right")
+    assert [list(column) for column in zip(*(c.components for c in expanded))] == gf_columns(gf, 20)
+
+
+def test_columns_of_a_longer_numerator():
+    # a numerator past degree 2 still enters each column once per power
+    zero = Octonion.zero()
+    numerator = OctPolynomial((Octonion.basis(0), zero, zero, zero, Octonion.basis(3)))
+    gf = RationalGF(numerator, (1, -1, 0, 0))
+    columns = gf_columns(gf, 7)
+    assert columns[0] == [1] * 7 and columns[3] == [0, 0, 0, 0, 1, 1, 1]
+    assert gf_expand(gf, 7) == gf_expand(gf, 7, "left") == gf_expand(gf, 7, "right")
+
+
+def test_columns_reject_mixed_variants():
+    numerator = OctPolynomial((Octonion.basis(1),))
+    with pytest.raises(VariantError):
+        gf_columns(RationalGF(numerator, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))), 5)
+    with pytest.raises(ValueError):
+        gf_columns(RationalGF(numerator, (1, -1, 0, 0)), 0)
 
 
 def test_format_polynomial():

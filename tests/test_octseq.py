@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -18,7 +19,7 @@ from trioct import (
     preset_lookup,
     sum_correction,
 )
-from trioct.cubic import _binet_parts, _finite, _within_doubles
+from trioct.cubic import _finite, _within_doubles, binet_scalars
 from trioct.scalars import COMPLEX, as_complex
 from trioct.sequences import _CubicQuotient, terms
 
@@ -323,8 +324,25 @@ def test_quad_approx_bad_root_name():
         ctx_for("tribonacci").quad_residual(0, "beta")
 
 
-# The root-based forms as octonion arithmetic, the way the library computed
-# them before it went per component: the reference for the pins below.
+def test_windows_take_indices_lo_to_hi():
+    ctx = ctx_for("tribonacci")
+    windows = [
+        ctx.oct_binets,
+        ctx.norm_formulas_complex,
+        partial(binet_scalars, ctx.roots),
+        partial(ctx.quad_residuals, which_root="omega2"),
+    ]
+    for window in windows:
+        assert window(5, 5) == []
+        assert len(window(5, 9)) == 4
+        for lo, hi in ((5, 4), (-1, 3)):
+            with pytest.raises(ValueError):
+                window(lo, hi)
+
+
+# The root-based forms one index at a time, the way the library computed them
+# before it evaluated windows (the Binet forms and the quadratic residual as
+# octonion arithmetic): the reference for the pins below.
 
 
 def _power_octonion(x):
@@ -332,9 +350,47 @@ def _power_octonion(x):
     return Octonion(tuple(x**l for l in range(8)))
 
 
+def _parts(ctx, n, which):
+    with _within_doubles(f"the root powers at n = {n} are"):
+        return [
+            (x, weight * x**n / fprime if which == "v" else x ** (n + 1) / fprime)
+            for x, weight, fprime in ctx.roots.lines.values()
+        ]
+
+
+def _binet_term(ctx, n, which):
+    (_, a), (_, b), (_, c) = _parts(ctx, n, which)
+    return _finite(a + b + c, n)
+
+
 def _octonion_binet(ctx, n):
-    (a, p_a), (b, p_b), (c, p_c) = _binet_parts(ctx.roots, n, "v")
+    (a, p_a), (b, p_b), (c, p_c) = _parts(ctx, n, "v")
     return _finite(_power_octonion(a) * p_a - _power_octonion(b) * -p_b + _power_octonion(c) * p_c, n)
+
+
+def _norm_formula(ctx, n):
+    ro = ctx.roots
+    (a, wa, _), (w1, wq, _), (w2, wr, _) = ro.lines.values()
+    d12, da1, da2 = w1 - w2, a - w1, a - w2
+
+    def even_powers(x):
+        return sum(x ** (2 * l) for l in range(8))
+
+    def geometric8(x):
+        return sum(x**l for l in range(8))
+
+    with _within_doubles(f"the root powers at n = {n} are"):
+        main = (
+            d12**2 * wa**2 * even_powers(a) * a ** (2 * n)
+            + da2**2 * wq**2 * even_powers(w1) * w1 ** (2 * n)
+            + da1**2 * wr**2 * even_powers(w2) * w2 ** (2 * n)
+        )
+        cross = (
+            d12 * da2 * wa * wq * geometric8(a * w1) * (a * w1) ** n
+            - d12 * da1 * wa * wr * geometric8(a * w2) * (a * w2) ** n
+            + da1 * da2 * wq * wr * geometric8(w1 * w2) * (w1 * w2) ** n
+        )
+        return _finite((main - 2 * cross) / ro.vandermonde**2, n)
 
 
 def _octonion_quad_parts(ctx, n, which_root):
@@ -357,15 +413,30 @@ def _octonion_quad_residual(ctx, n, which_root):
         return _finite(worst, n)
 
 
-def _bits(form, *args):
-    """float.hex of both parts of every component, or the RegimeError's message."""
-    try:
-        value = form(*args)
-    except RegimeError as e:
-        return str(e)
+def _hex(value):
+    """float.hex of both parts of every component."""
     if isinstance(value, float):
         return value.hex()
-    return [(c.real.hex(), c.imag.hex()) for c in value.components]
+    return [(c.real.hex(), c.imag.hex()) for c in getattr(value, "components", (value,))]
+
+
+def _window_bits(window, lo, hi):
+    """The window's values as _hex, or its RegimeError's message."""
+    try:
+        return [_hex(value) for value in window(lo, hi)]
+    except RegimeError as e:
+        return str(e)
+
+
+def _reference_bits(reference, lo, hi):
+    """The reference's values at lo .. hi - 1 as _hex, or the message of its first RegimeError."""
+    values = []
+    for n in range(lo, hi):
+        try:
+            values.append(_hex(reference(n)))
+        except RegimeError as e:
+            return str(e)
+    return values
 
 
 _FORM_FAMILIES = {
@@ -380,23 +451,40 @@ _FORM_FAMILIES = {
 }
 
 
-def _pinned_indices(test):
-    # every family near 0, and tribonacci and the large-t family where the root powers leave double range
-    cases = [(name, n) for name in _FORM_FAMILIES for n in (0, 1, 7, 30, 40)]
-    cases += [("tribonacci", n) for n in range(1100, 1171)] + [("large t", n) for n in range(230, 245)]
-    for name, n in cases:
-        test = example(name, n)(test)
+def _pinned_windows(test):
+    # every family near 0, and tribonacci and the large-t family where the root powers leave
+    # double range: one index at a time, and in windows across those indices
+    cases = [(name, n, 1) for name in _FORM_FAMILIES for n in (0, 1, 7, 30, 40)]
+    cases += [("tribonacci", n, 1) for n in range(1100, 1171)] + [("large t", n, 1) for n in range(230, 245)]
+    cases += [("tribonacci", 1100, 71), ("tribonacci", 560, 31), ("large t", 230, 15), ("padovan", 0, 0)]
+    for case in cases:
+        test = example(*case)(test)
     return test
 
 
-@_pinned_indices
-@given(st.sampled_from(sorted(_FORM_FAMILIES)), st.integers(0, 1200))
+@_pinned_windows
+@given(st.sampled_from(sorted(_FORM_FAMILIES)), st.integers(0, 1200), st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
-def test_component_forms_match_the_octonion_forms_bit_for_bit(name, n):
+def test_component_forms_match_the_octonion_forms_bit_for_bit(name, lo, width):
     ctx = OctSequenceContext(_FORM_FAMILIES[name])
-    assert _bits(ctx.oct_binet, n) == _bits(_octonion_binet, ctx, n)
+    hi = lo + width
+    forms = [
+        (ctx.oct_binets, ctx.oct_binet, partial(_octonion_binet, ctx)),
+        (ctx.norm_formulas_complex, ctx.norm_formula_complex, partial(_norm_formula, ctx)),
+    ]
+    for which in ("v", "u"):
+        window = partial(binet_scalars, ctx.roots, which=which)
+        forms.append((window, partial(ctx.binet_term, which=which), partial(_binet_term, ctx, which=which)))
     for line in ("alpha", "omega1", "omega2"):
-        assert _bits(ctx.quad_residual, n, line) == _bits(_octonion_quad_residual, ctx, n, line)
+        window = partial(ctx.quad_residuals, which_root=line)
+        single = partial(ctx.quad_residual, which_root=line)
+        forms.append((window, single, partial(_octonion_quad_residual, ctx, which_root=line)))
+    for window, single, reference in forms:
+        expected = _reference_bits(reference, lo, hi)
+        assert _window_bits(window, lo, hi) == expected
+        # the single-index form is the window of one
+        if width:
+            assert _window_bits(lambda lo, hi: [single(lo)], lo, lo + 1) == _reference_bits(reference, lo, lo + 1)
 
 
 @given(int_params, st.integers(1, 25))

@@ -19,6 +19,8 @@ from trioct import (
     SuiteConfig,
     VariantError,
     VerificationReport,
+    build_gf,
+    gf_expand,
     preset_lookup,
     run_suite,
 )
@@ -557,3 +559,49 @@ def test_a_tampered_companion_term_fails_with_its_residual(monkeypatch, at):
     got = {name: (c.run, c.failed, c.max_rel_residual) for name, c in report.categories.items()}
     assert {name: got[name] for name in expected} == expected
     assert report.total_failures == sum(failed for _, failed, _ in expected.values())
+
+
+def test_the_binet_check_reads_the_companion_terms():
+    # every preset's seeds are (0, 1, r), so its terms are its companion terms; on other
+    # seeds the "u" half differs from the "v" half, and only the companion terms match it
+    ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 2, -1, 3))
+    checks = dict(verify._checks("tribonacci", ctx, SuiteConfig()))
+    residuals = list(checks["binet_scalar"])
+    assert len(residuals) == 2 * 41
+    assert max(residuals) <= 1e-13
+
+
+class _BadTermLine(OctSequenceContext):
+    """A context whose term line reads one too large at index bad; the combination
+    lines, the lifts and the numerator are computed from what it reads."""
+
+    def __init__(self, params, bad):
+        super().__init__(params)
+        self.bad = bad
+
+    def line(self, lo, hi, weights=None):
+        values = super().line(lo, hi, weights)
+        return values if weights else [x + (k == self.bad) for k, x in enumerate(values, lo)]
+
+
+@pytest.mark.parametrize("bad", [10, 11, 17, 30, 45, 49, 56])
+def test_a_bad_term_fails_the_genfunc_checks_that_read_it(bad):
+    # terms 0 .. 9 feed the numerator too; a later term is read only by the
+    # checks of O(bad - 7) .. O(bad), one slot each
+    for params in (preset_lookup("tribonacci"), RecurrenceParams(2, -1, 3, 1, 0, -2)):
+        verdicts = verify._genfunc_verdicts(_BadTermLine(params, bad), 50)
+        assert verdicts == [not n <= bad <= n + 7 for n in range(50)]
+        assert verify._genfunc_verdicts(OctSequenceContext(params), 50) == [True] * 50
+
+
+@given(_small_params, st.booleans(), st.integers(1, 50), st.one_of(st.none(), st.integers(0, 57)))
+@example(RecurrenceParams(0, 0, 0, 0, 0, 0), False, 1, None)
+@example(RecurrenceParams(1, 1, 1, 0, 1, 1), True, 50, 3)
+@settings(max_examples=100, deadline=None)
+def test_genfunc_verdicts_match_their_pairs(params, rational, count, bad):
+    if rational:
+        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    ctx = OctSequenceContext(params) if bad is None else _BadTermLine(params, bad)
+    pairs = OctSequenceContext(params) if bad is None else _BadTermLine(params, bad)
+    expanded = gf_expand(build_gf(pairs), count)
+    assert verify._genfunc_verdicts(ctx, count) == [expanded[n] == pairs.oct_term(n) for n in range(count)]
