@@ -51,7 +51,25 @@ MUTANTS = (
     Mutant(_VERIFY, '"u"), u)', '"u"), ctx.line(0, end))', _VERIFY_TESTS),
     # the octonion Binet check compares with the lift one index on
     Mutant(_VERIFY, "tuple(z[n : n + 8])", "tuple(z[n + 1 : n + 9])", _VERIFY_TESTS),
-    # the generating-function columns: compared from n = 1, or reading the wrong coefficient
+    # the packed tests: a slot one bit too narrow (2^B > weight*max|x|), a failing lifted
+    # test taken as passing, the prefix sums' gap(0) left unchecked, and the packed
+    # expansion compared with itself instead of the term windows
+    Mutant(
+        _VERIFY,
+        "(weight * self.top).bit_length() // 8 + 1",
+        "((weight * self.top).bit_length() + 7) // 8",
+        _VERIFY_TESTS,
+    ),
+    Mutant(_VERIFY, "if packing and packing.zero(", "if packing or packing.zero(", _VERIFY_TESTS),
+    Mutant(_VERIFY, "if gap == targets[0] and packing.zero(", "if packing.zero(", _VERIFY_TESTS),
+    Mutant(
+        _VERIFY,
+        "== [packing.window(n, 8) for n in range(count)]",
+        "== gf_series(packed, r, s, t, count, 0)",
+        _VERIFY_TESTS,
+    ),
+    # the generating-function columns: compared from n = 1, or the one copy of its
+    # recurrence, which the packed test runs too, reading the wrong coefficient
     Mutant(_VERIFY, "map(eq, column, x[l:])", "map(eq, column[1:], x[l + 1 :])", _VERIFY_TESTS),
     Mutant(_GENFUNC, "value = value + t * c[n - 3]", "value = value + t * c[n - 2]", _GENFUNC_TESTS),
 )

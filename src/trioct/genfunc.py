@@ -10,12 +10,14 @@ than long division; for a central denominator the two agree exactly and the
 recurrence is O(1) per coefficient.  Central scalars do not mix the basis
 slots, so the expansion is eight scalar columns (gf_columns), one
 recurrence per slot; gf_expand builds its octonions from them, or, as an
-independent check, multiplies through the full basis product.
+independent check, multiplies through the full basis product.  The
+slot columns and verify's packed check run one recurrence, gf_series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .octonion import Octonion
 from .scalars import Scalar, VariantError, one, variant_of, zero
@@ -70,10 +72,9 @@ def gf_columns(gf: RationalGF, count: int) -> list[list[Scalar]]:
     """The first `count` series coefficients of each basis slot, e0 .. e7.
 
     A central denominator does not mix the slots: slot l's coefficients are
-    one scalar recurrence, c(n) = num_l(n) + r*c(n-1) + s*c(n-2) + t*c(n-3)
-    (num_l(n) = 0 past the numerator degree), whose terms are added in that
-    order as far as they exist.  The numerator and the denominator share
-    one scalar variant (VariantError otherwise).
+    one scalar recurrence (gf_series) on slot l of the numerator's
+    coefficients.  The numerator and the denominator share one scalar
+    variant (VariantError otherwise).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -83,20 +84,27 @@ def gf_columns(gf: RationalGF, count: int) -> list[list[Scalar]]:
         raise VariantError(f"a generating function's coefficients mix scalar variants: {sorted(variants)}")
     r, s, t = (-c for c in gf.denom_coeffs[1:])
     z = zero(variant_of(gf.denom_coeffs[0]))
-    columns = []
-    for slot in range(8):
-        c: list[Scalar] = []
-        for n in range(count):
-            value = num[n].components[slot] if n < len(num) else z
-            if n >= 1:
-                value = value + r * c[n - 1]
-            if n >= 2:
-                value = value + s * c[n - 2]
-            if n >= 3:
-                value = value + t * c[n - 3]
-            c.append(value)
-        columns.append(c)
-    return columns
+    return [gf_series([c.components[slot] for c in num], r, s, t, count, z) for slot in range(8)]
+
+
+def gf_series(num: Sequence, r: Scalar, s: Scalar, t: Scalar, count: int, z: object) -> list:
+    """c(0) .. c(count - 1) with c(n) = num(n) + r*c(n-1) + s*c(n-2) + t*c(n-3).
+
+    num(n) is z past num; the terms are added in that order as far as they
+    exist.  gf_columns runs it per slot on scalars, and verify once on the
+    numerator's octonions, each packed into one int.
+    """
+    c: list = []
+    for n in range(count):
+        value = num[n] if n < len(num) else z
+        if n >= 1:
+            value = value + r * c[n - 1]
+        if n >= 2:
+            value = value + s * c[n - 2]
+        if n >= 3:
+            value = value + t * c[n - 3]
+        c.append(value)
+    return c
 
 
 def gf_expand(gf: RationalGF, count: int, scalar_side: str = "scalar") -> list[Octonion]:

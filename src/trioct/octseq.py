@@ -14,8 +14,12 @@ terms, jumped to its first index and stepped up, and one per weight triple
 (a, b, c) of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k).  A
 line holds one value per index over a contiguous range that starts at the
 first index asked for and grows down or up as later requests need, so each
-value is computed once.  The context is otherwise read-only; extending a
-line from two threads at once is not safe.
+value is computed once.  verify decides an int family's identities on
+packed windows of the term line first and reads the combination lines
+only for a rational family or when a packed test fails, its per-index
+fallback.  The shift weights for m = 3, 4, ... come from one companion
+stream, read on by one value per m.  The context is otherwise read-only;
+extending a line or the stream from two threads at once is not safe.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cubic import CubicRoots, _binet_parts, _complete, _finite, _out_of_range, _upto_overflow, _window
 from .cubic import binet_scalar, cubic_roots
 from .octonion import Octonion
 from .scalars import COMPLEX, INT, RATIONAL, RegimeError, Scalar, as_complex
-from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _expansion_weights, _stepped
-from .sequences import sum_constant, terms
+from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _companion_windows
+from .sequences import _expansion_weights, _stepped, sum_constant, terms
 
 _TERMS = "terms"  # the term line's key in OctSequenceContext._lines
 
@@ -43,10 +47,10 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
     Component l is lam - delta*(term(0)+...+term(l-1)) with
     lam = sum_constant (empty sum at l = 0).
     """
-    lam = Fraction(sum_constant(params, params.s))
-    d = Fraction(params.delta)
+    lam, d = sum_constant(params, params.s), params.delta
     running = accumulate(islice(terms(params), 7), initial=0)
-    return Octonion._raw(tuple(lam - d * x for x in running), RATIONAL)
+    # computed in the family's variant, each component converted once
+    return Octonion._raw(tuple(Fraction(lam - d * x) for x in running), RATIONAL)
 
 
 class OctSequenceContext:
@@ -57,6 +61,8 @@ class OctSequenceContext:
         self.params = params
         self._kind = params.variant
         self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
+        # the last m the weights were computed for and the companion windows after its own
+        self._companion: tuple[int, Iterator] = (0, iter(()))
         # key -> [start, values]: values[i] belongs to index start + i (see _span)
         self._lines: dict[object, list] = {}
 
@@ -197,7 +203,13 @@ class OctSequenceContext:
         if m < 3:
             raise RegimeError("the shift convolution is stated for m >= 3")
         if m not in self._weights:
-            self._weights[m] = _expansion_weights(self.params, m)
+            # U(m-3) .. U(m-1): one companion stream's next window while m grows by one, else jumped to
+            last, windows = self._companion
+            if m != last + 1:
+                windows = _companion_windows(self.params, m)
+            u = next(windows)
+            self._companion = m, windows
+            self._weights[m] = _expansion_weights(self.params, m, u)
         return self._weights[m]
 
     # -- root-based closed forms (floating point) ---------------------------

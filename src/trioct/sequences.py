@@ -275,13 +275,25 @@ def companion_identity(params: RecurrenceParams, n: int) -> tuple[Scalar, Scalar
     return seq_term(params, n + 1), a * params.v2 + b * params.v1 + c * params.v0
 
 
-def _expansion_weights(params: RecurrenceParams, m: int) -> tuple[Scalar, Scalar, Scalar]:
+def _expansion_weights(
+    params: RecurrenceParams, m: int, companion: tuple[Scalar, Scalar, Scalar] | None = None
+) -> tuple[Scalar, Scalar, Scalar]:
     """(U(m-1), s*U(m-2) + t*U(m-3), t*U(m-2)): the weights of x(n+2), x(n+1), x(n) in x(n+m).
 
-    U(m-3), U(m-2), U(m-1) are read from the companion terms from m - 3 on.
+    companion holds U(m-3), U(m-2), U(m-1); by default they are read from
+    the companion terms from m - 3 on.
     """
-    u3, u2, u1 = islice(terms(params, companion=True, start=m - 3), 3)
+    u3, u2, u1 = next(_companion_windows(params, m)) if companion is None else companion
     return u1, params.s * u2 + params.t * u3, params.t * u2
+
+
+def _companion_windows(params: RecurrenceParams, m: int) -> Iterator[tuple[Scalar, Scalar, Scalar]]:
+    """(U(k-3), U(k-2), U(k-1)) for k = m, m + 1, ..., from one companion stream jumped to m - 3."""
+    stream = terms(params, companion=True, start=m - 3)
+    a, b = next(stream), next(stream)
+    for c in stream:
+        yield a, b, c
+        a, b = b, c
 
 
 def prefix_sum(params: RecurrenceParams, n: int) -> Scalar:

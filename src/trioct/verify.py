@@ -15,7 +15,12 @@ tabulated prefix sums) and the generating function's expansion are
 decided once per index on the context's scalar lines, every prefix-sum
 form by _sum_verdicts and the expansion on its slot columns; only a
 failing index builds its pair through the library function that states
-the identity, so its residual is the one that function gives.  Each
+the identity, so its residual is the one that function gives.  For an
+int family, the lifted identities, the prefix sums and the expansion are
+first decided on packed windows of the term line (_Packed): one exact
+test on a few big ints each, which passes every index when it holds.
+When it fails, and for a rational family, the per-index verdicts decide,
+so failing counts and residuals do not depend on the packing.  Each
 root-based closed form is evaluated as one window of indices.
 
 Aggregation is order-independent (sums and maxima), so checks could be
@@ -35,10 +40,10 @@ from operator import eq
 from typing import Callable, Iterator, Mapping
 
 from .cubic import binet_scalars
-from .genfunc import build_gf, gf_columns, gf_expand, gf_numerator
+from .genfunc import build_gf, gf_columns, gf_expand, gf_numerator, gf_series
 from .octonion import Octonion
 from .octseq import OctSequenceContext, sum_correction
-from .scalars import COMPLEX, RegimeError, Scalar, VariantError, as_complex
+from .scalars import COMPLEX, INT, RegimeError, Scalar, VariantError, as_complex
 from .sequences import (
     PRESET_NAMES,
     RecurrenceParams,
@@ -279,8 +284,13 @@ def _rel_residual(approx: Scalar | Octonion, exact: Scalar | Octonion) -> float:
     """
     if isinstance(exact, Octonion):
         return max(0.0, *map(_rel_residual, approx.components, exact.components))
-    e = as_complex(exact)
-    return abs(as_complex(approx) - e) / max(1.0, abs(e))
+    try:
+        e = as_complex(exact)
+        return abs(as_complex(approx) - e) / max(1.0, abs(e))
+    except OverflowError:
+        # an exact pair past double range: the ratio in Fractions, rounded once
+        exact = Fraction(exact)
+        return float(min(abs(Fraction(approx) - exact) / max(1, abs(exact)), sys.float_info.max))
 
 
 def _exact_pair(result: CategoryResult, lhs: object, rhs: object) -> None:
@@ -291,16 +301,65 @@ def _exact_pair(result: CategoryResult, lhs: object, rhs: object) -> None:
         result.record_exact(False, 0.0 if isinstance(rhs, tuple) else _rel_residual(lhs, rhs))
 
 
+class _Packed:
+    """An int family's term line x(0) .. x(N-1) packed once: x(k) + 2^(B-1) in the B-bit slot k.
+
+    window(j, k) is the signed packing x(j) + x(j+1)*2^B + ... + x(j+k-1)*2^(B*(k-1)),
+    read from the slots' bytes.  A sum of windows whose integer weights add up
+    to w in absolute value has slots e with |e| <= w*max|x|; while that is
+    below 2^(B-1), the sum is zero exactly when every slot is, as the lowest
+    nonzero slot of a zero sum would be a multiple of 2^B.  B is the fewest
+    whole bytes with 2^(B-1) > weight*max|x|.
+    """
+
+    def __init__(self, x: list[int], weight: int):
+        self.top, self.count = max(map(abs, x), default=0), len(x)
+        self.size = size = (weight * self.top).bit_length() // 8 + 1
+        self.bits, self.bias = 8 * size, 1 << 8 * size - 1
+        self._slot = self.bias.to_bytes(size, "little")
+        self._slots = b"".join((v + self.bias).to_bytes(size, "little") for v in x)
+        self._windows: dict[tuple[int, int], int] = {}
+        self._biases: dict[int, int] = {}  # k -> the packed biases of k slots
+
+    def window(self, j: int, k: int) -> int:
+        value = self._windows.get((j, k))
+        if value is None:
+            if j + k > self.count:
+                raise IndexError(f"window {j} .. {j + k - 1} past the packed terms 0 .. {self.count - 1}")
+            biases = self._biases.get(k)
+            if biases is None:
+                biases = self._biases[k] = int.from_bytes(self._slot * k, "little")
+            slots = self._slots[self.size * j : self.size * (j + k)]
+            value = self._windows[j, k] = int.from_bytes(slots, "little") - biases
+        return value
+
+    def zero(self, terms: tuple[tuple[int, int], ...], k: int) -> bool:
+        """Whether the sum of w*window(j, k) over (w, j) in terms is zero; False past the width bound."""
+        total = weight = 0
+        for w, j in terms:
+            total += w * self.window(j, k)
+            weight += abs(w)
+        return weight * self.top < self.bias and not total
+
+
 def _lifted_verdicts(
-    ctx: OctSequenceContext, m: int, weights: tuple[Scalar, Scalar, Scalar], count: int
+    ctx: OctSequenceContext,
+    m: int,
+    weights: tuple[Scalar, Scalar, Scalar],
+    count: int,
+    packing: _Packed | None = None,
 ) -> list[bool]:
     """Whether O(n + m) == a*O(n+2) + b*O(n+1) + c*O(n), (a, b, c) = weights, at n = 0 .. count - 1.
 
     The lifted identity holds at n exactly when its scalar form
     x(k + m) = a*x(k+2) + b*x(k+1) + c*x(k) holds at the eight indices
-    k = n .. n+7, so the term line from m and the weights' line from 0 are
-    compared once per index.
+    k = n .. n+7.  With a packing, the count + 7 of them are one test on
+    its windows; without, or when that fails, the term line from m and the
+    weights' line from 0 are compared once per index.
     """
+    a, b, c = weights
+    if packing and packing.zero(((1, m), (-a, 2), (-b, 1), (-c, 0)), count + 7):
+        return [True] * count
     agree = list(map(eq, ctx.line(m, m + count + 7), ctx.line(0, count + 7, weights)))
     if all(agree):
         return [True] * count
@@ -320,7 +379,11 @@ def _companion_verdicts(ctx: OctSequenceContext, u: list[Scalar]) -> list[bool]:
 
 
 def _sum_verdicts(
-    ctx: OctSequenceContext, form: tuple, constant: tuple[Scalar, ...], count: int
+    ctx: OctSequenceContext,
+    form: tuple,
+    constant: tuple[Scalar, ...],
+    count: int,
+    packing: _Packed | None = None,
 ) -> list[bool]:
     """Whether a prefix-sum form ((a, b, c), off, d) holds at n = 0 .. count - 1.
 
@@ -328,25 +391,47 @@ def _sum_verdicts(
     at n when (comb(n+off+l) + constant[l]) / d == x(l) + ... + x(n+l) for
     every l < len(constant).  With P(k) = x(0) + ... + x(k), that is
     gap(n+l) == -constant[l] - d*P(l-1) for the gap comb(k+off) - d*P(k),
-    computed once per index.
+    computed once per index.  When every target is one value, every check
+    holds exactly when gap(0) is that value and the gap's steps
+    gap(k+1) - gap(k) = a*x(k+off+3) + (b-a)*x(k+off+2) + (c-b)*x(k+off+1)
+    - c*x(k+off) - d*x(k+1) are zero, one test on a packing's windows.
     """
     weights, off, d = form
     width = len(constant)
+    targets = [-k - d * s for k, s in zip(constant, accumulate(ctx.line(0, width - 1), initial=0))]
+    if packing and targets.count(targets[0]) == width:
+        (a, b, c), x = weights, ctx.line(0, off + 3)
+        gap = a * x[off + 2] + b * x[off + 1] + c * x[off] - d * x[0]
+        steps = ((a, off + 3), (b - a, off + 2), (c - b, off + 1), (-c, off), (-d, 1))
+        if gap == targets[0] and packing.zero(steps, count + width - 2):
+            return [True] * count
     x = ctx.line(0, count + width - 1)
     gaps = [c - d * s for c, s in zip(ctx.line(off, off + count + width - 1, weights), accumulate(x))]
-    targets = [-k - d * s for k, s in zip(constant, accumulate(x[: width - 1], initial=0))]
     return [gaps[n : n + width] == targets for n in range(count)]
 
 
-def _genfunc_verdicts(ctx: OctSequenceContext, count: int) -> list[bool]:
+def _genfunc_verdicts(ctx: OctSequenceContext, count: int, packing: _Packed | None = None) -> list[bool]:
     """Whether the generating function's coefficient n equals O(n), at n = 0 .. count - 1.
 
     Slot l of coefficient n is column l of gf_columns at n, and component l
     of O(n) is term n + l, so each column is compared with the term line
-    from l once per index.
+    from l once per index.  With a packing, the series runs once on the
+    numerator's octonions packed as ints, and coefficient n is compared with
+    window(n, 8): while the coefficients below n equal their lifts, the slots
+    of coefficient n differ from theirs by at most |num(n)| + (1 + |r| + |s|
+    + |t|)*max|x|, which must stay below the width bound.
     """
+    gf = build_gf(ctx)
+    if packing:
+        num = [c.components for c in gf.numerator.coeffs]
+        r, s, t = (-c for c in gf.denom_coeffs[1:])
+        bound = packing.top * (1 + abs(r) + abs(s) + abs(t)) + max(map(abs, chain(*num)), default=0)
+        packed = [sum(v << packing.bits * l for l, v in enumerate(c)) for c in num]
+        if bound < packing.bias:
+            if gf_series(packed, r, s, t, count, 0) == [packing.window(n, 8) for n in range(count)]:
+                return [True] * count
     x = ctx.line(0, count + 7)
-    agree = (map(eq, column, x[l:]) for l, column in enumerate(gf_columns(build_gf(ctx), count)))
+    agree = (map(eq, column, x[l:]) for l, column in enumerate(gf_columns(gf, count)))
     return list(map(all, zip(*agree)))
 
 
@@ -384,6 +469,33 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     return VerificationReport(categories=results, errata=errata, seed=config.seed)
 
 
+def _scalar_sum_form(params: RecurrenceParams) -> tuple:
+    # the closed-form prefix sum (x(n+2) + (1-r)*x(n+1) + t*x(n) + constant) / delta as a sum form
+    return (1, 1 - params.r, params.t), 0, params.delta
+
+
+def _packing(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> _Packed | None:
+    """An int family's term line x(0) .. x(config.deepest) packed for _checks; None for a rational family.
+
+    The slots are wide enough for every test _checks makes on the windows:
+    the weight is the largest of 1 + |a| + |b| + |c| over the shift weights,
+    2*(|a| + |b| + |c|) + |d| over the sum forms and 2*(1 + |r| + |s|) + |t|
+    for the expansion, whose numerator's slots reach (1 + |r| + |s|)*max|x|.
+    """
+    p = ctx.params
+    if p.variant != INT:
+        return None
+    forms = [_scalar_sum_form(p)] if p.delta != 0 else []
+    forms += [REFERENCE_SUM_FORMS[preset]] if preset is not None else []
+    shifts = [ctx.shift_coefficients(m) for m in range(3, config.m_max + 1)]
+    weight = max(
+        2 * (1 + abs(p.r) + abs(p.s)) + abs(p.t),
+        *(1 + abs(a) + abs(b) + abs(c) for a, b, c in shifts),
+        *(2 * (abs(a) + abs(b) + abs(c)) + abs(d) for (a, b, c), _, d in forms),
+    )
+    return _Packed(ctx.line(0, config.deepest + 1), weight)
+
+
 def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> Iterator[tuple]:
     """Yield (category, checks) for one family, in CATEGORIES order.
 
@@ -407,29 +519,34 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
         rooted = False
     # direct sums O(0)+...+O(n), for a failing sum_table or octonion_sum check
     sums = cache(lambda: ctx.oct_prefix_sums(n_max))
+    form = _scalar_sum_form(params)
+    packing = _packing(preset, ctx, config)
 
     def settle(
         verdicts: list[bool], build: Callable[[int], tuple], first: int = 0
     ) -> tuple[int, Iterator]:
         # the verdicts at n = first, first + 1, ...: a passing n is counted;
         # only a failing n builds its pair
-        return verdicts.count(True), (build(n) for n, ok in enumerate(verdicts, first) if not ok)
+        passed = verdicts.count(True)
+        if passed == len(verdicts):
+            return passed, iter(())
+        return passed, (build(n) for n, ok in enumerate(verdicts, first) if not ok)
 
     def lifted(m: int, count: int, build: Callable[[int], tuple]) -> tuple[int, Iterator]:
-        return settle(_lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count), build)
+        return settle(_lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count, packing), build)
 
     # the recurrence at n is the shift by m = 3 at n - 1, whose weights are (r, s, t)
     yield "recurrence", lifted(3, n_max, lambda n: ctx.recurrence_check(n + 1))
     u = list(islice(terms(params, companion=True), n_max + 1))
     yield "companion_identity", settle(_companion_verdicts(ctx, u), partial(companion_identity, params), 2)
     if summable:
-        form = ((1, 1 - params.r, params.t), 0, params.delta)
         yield "scalar_sum", settle(
-            _sum_verdicts(ctx, form, (sum_constant(params, params.s),), n_max + 1),
+            _sum_verdicts(ctx, form, (sum_constant(params, params.s),), n_max + 1, packing),
             lambda n: (partial_sum_formula(params, n), prefix_sum(params, n)),
         )
         yield "octonion_sum", settle(
-            _sum_verdicts(ctx, form, ctx.correction, n_max + 1), lambda n: (ctx.sum_octonions(n), sums()[n])
+            _sum_verdicts(ctx, form, ctx.correction, n_max + 1, packing),
+            lambda n: (ctx.sum_octonions(n), sums()[n]),
         )
     else:
         yield "scalar_sum", None
@@ -452,15 +569,15 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     count = min(n_max + 1, 50)
     expanded = cache(lambda: gf_expand(build_gf(ctx), count))
     yield "genfunc_roundtrip", settle(
-        _genfunc_verdicts(ctx, count), lambda n: (expanded()[n], ctx.oct_term(n))
+        _genfunc_verdicts(ctx, count, packing), lambda n: (expanded()[n], ctx.oct_term(n))
     )
     if not tabulated:
         yield "sum_table", None
     else:
         constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
-        w, off, d = form = REFERENCE_SUM_FORMS[preset]
+        w, off, d = table_form = REFERENCE_SUM_FORMS[preset]
         passed, failing = settle(
-            _sum_verdicts(ctx, form, (-constant).components, n_max + 1),
+            _sum_verdicts(ctx, table_form, (-constant).components, n_max + 1, packing),
             lambda n: ((ctx._combine(n + off, *w).as_rational() - constant) * Fraction(1, d), sums()[n]),
         )
         yield "sum_table", (passed, chain([(sum_correction(params), -constant)], failing))
@@ -502,7 +619,7 @@ def _misprint_fails(ctx: OctSequenceContext, count: int) -> bool:
     """Whether the misprinted (r-s-1)*v0 sum constant fails at some n < count (delta != 0),
     decided on the scalar sum's form as scalar_sum decides the corrected constant."""
     p = ctx.params
-    return not all(_sum_verdicts(ctx, ((1, 1 - p.r, p.t), 0, p.delta), (sum_constant(p, -p.s),), count))
+    return not all(_sum_verdicts(ctx, _scalar_sum_form(p), (sum_constant(p, -p.s),), count))
 
 
 def _sign_erratum_note(fails: list[bool], count: int) -> str:

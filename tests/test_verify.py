@@ -1,8 +1,10 @@
 """The verification suite: grids, skips, negative controls, determinism."""
 
+import json
 import operator
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -272,8 +274,8 @@ def _tampered_weights(at, slot=0, bump=1):
     """octseq's shift weights with bump added to weight slot at m = at (m = 3 holds the recurrence's)."""
     weights = octseq._expansion_weights
 
-    def tampered(params, m):
-        w = list(weights(params, m))
+    def tampered(params, m, *companion):
+        w = list(weights(params, m, *companion))
         if m == at:
             w[slot] += bump
         return tuple(w)
@@ -605,3 +607,159 @@ def test_genfunc_verdicts_match_their_pairs(params, rational, count, bad):
     pairs = OctSequenceContext(params) if bad is None else _BadTermLine(params, bad)
     expanded = gf_expand(build_gf(pairs), count)
     assert verify._genfunc_verdicts(ctx, count) == [expanded[n] == pairs.oct_term(n) for n in range(count)]
+
+
+def test_a_failing_check_past_double_range_is_recorded():
+    # rows of the tampered tabulated sum past n = 1150 hold values past double range;
+    # their residuals are taken in Fractions, and the report stays strict JSON
+    config = SuiteConfig(
+        presets=("tribonacci",),
+        n_max=1200,
+        m_max=3,
+        sum_constants_override={"tribonacci": (1, 1, 3, 5, 9, 17, 31, 58)},
+    )
+    report = run_suite(config)
+    result = report.categories["sum_table"]
+    assert (result.run, result.failed, result.max_rel_residual) == (1202, 1202, 1 / 48)
+    assert report.total_failures == 1202
+    json.dumps(report.to_json_dict(), allow_nan=False)
+    # a ratio past double range is recorded as the largest double
+    assert verify._rel_residual(10**400, 1) == sys.float_info.max
+    assert verify._rel_residual(Fraction(10**400, 3), 10**400) == 2 / 3
+
+
+def _packed_and_per_index(ctx, pairs, config, preset, bump, slot):
+    """Each packed verdict list _checks asks for, with the per-index one of the pairs context."""
+    p, n_max = ctx.params, config.n_max
+    packing = verify._packing(preset, ctx, config)
+    yield (
+        verify._lifted_verdicts(ctx, 3, ctx.shift_coefficients(3), n_max, packing),
+        verify._lifted_verdicts(pairs, 3, pairs.shift_coefficients(3), n_max),
+    )
+    for m in range(3, config.m_max + 1):
+        count = min(n_max, 50) + 1
+        yield (
+            verify._lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count, packing),
+            verify._lifted_verdicts(pairs, m, pairs.shift_coefficients(m), count),
+        )
+    if p.delta != 0:
+        # the scalar constant bumped, which fails gap(0); a correction component bumped,
+        # which leaves the targets unequal
+        form = verify._scalar_sum_form(p)
+        correction = tuple(c + bump * (l == slot) for l, c in enumerate(ctx.correction))
+        for constant in ((verify.sum_constant(p, p.s) + bump,), correction):
+            yield (
+                verify._sum_verdicts(ctx, form, constant, n_max + 1, packing),
+                verify._sum_verdicts(pairs, form, constant, n_max + 1),
+            )
+    tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
+    tampered[slot] += bump
+    constant = tuple(-Fraction(c) for c in tampered)
+    form = verify.REFERENCE_SUM_FORMS[preset]
+    yield (
+        verify._sum_verdicts(ctx, form, constant, n_max + 1, packing),
+        verify._sum_verdicts(pairs, form, constant, n_max + 1),
+    )
+    count = min(n_max + 1, 50)
+    yield verify._genfunc_verdicts(ctx, count, packing), verify._genfunc_verdicts(pairs, count)
+
+
+@given(
+    _small_params,
+    st.integers(3, 14),
+    st.integers(3, 9),
+    st.sampled_from(PRESET_NAMES),
+    st.sampled_from([0, 0, 1, -2]),
+    st.integers(0, 7),
+    st.one_of(
+        st.none(),
+        st.tuples(st.just("weight"), st.integers(3, 9), st.integers(0, 2), st.sampled_from([-1, 1, 2])),
+        st.tuples(st.just("term"), st.integers(0, 40)),
+    ),
+)
+@example(RecurrenceParams(0, 0, 0, 0, 0, 0), 3, 3, "tribonacci", 0, 0, None)
+@example(RecurrenceParams(1, 1, 1, 0, 1, 1), 14, 9, "tribonacci", 0, 0, ("term", 12))
+@example(RecurrenceParams(1, 0, 0, 0, 0, 1), 10, 5, "padovan", 1, 7, ("weight", 5, 1, -1))
+@settings(max_examples=100, deadline=None)
+def test_packed_verdicts_match_the_per_index_ones(params, n_max, m_max, preset, bump, slot, tamper):
+    # int families whose terms are often negative or run through zeros; a tampered
+    # weight or term, or a tampered tabulated constant, makes the packed tests fail
+    with pytest.MonkeyPatch.context() as mp:
+        if tamper is None:
+            ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
+        elif tamper[0] == "weight":
+            mp.setattr(octseq, "_expansion_weights", _tampered_weights(*tamper[1:]))
+            m_max = max(m_max, tamper[1])
+            ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
+        else:
+            ctx, pairs = _BadTermLine(params, tamper[1]), _BadTermLine(params, tamper[1])
+        config = SuiteConfig(n_max=n_max, m_max=m_max)
+        for packed, per_index in _packed_and_per_index(ctx, pairs, config, preset, bump, slot):
+            assert packed == per_index
+
+
+def test_slots_are_wide_enough_for_the_weights_they_are_packed_for():
+    # B is the fewest whole bytes with 2^(B-1) > weight*max|x|; the relation
+    # a*L2 - a*L0 + w*L20 == 0 holds on this line, L20 being a window of zeros
+    line = [1, -1] * 10 + [0] * 10
+    holds = lambda a, w: ((a, 2), (-a, 0), (w, 20))
+    packing = verify._Packed(line, 127)
+    assert packing.bits == 8
+    assert packing.zero(holds(63, 1), 5)  # its slots reach 127 * max|x| = 2^(B-1) - 1
+    assert not packing.zero(holds(63, 2), 5)  # 128 = 2^(B-1): past the bound, so the caller falls back
+    assert not packing.zero(((63, 2), (-62, 0), (1, 20)), 5)  # a relation that fails
+    packing = verify._Packed(line, 128)
+    assert packing.bits == 16 and packing.zero(holds(63, 2), 5)
+    # terms at +-(2^(B-1) - 1) read back exactly; the next value needs a wider slot
+    edge = [127, -127, 0, -127, 127]
+    packing = verify._Packed(edge, 1)
+    assert packing.bits == 8
+    assert packing.window(0, 5) == sum(x << 8 * k for k, x in enumerate(edge))
+    assert packing.window(1, 3) == -127 - (127 << 16)
+    assert verify._Packed([128, -128], 1).bits == 16
+
+
+def test_integer_families_are_decided_on_packed_windows(monkeypatch):
+    # a fallback to the per-index verdicts reads a combination line (lifts, sums) or
+    # the slot columns (expansion), which no packed test does: a silent fallback
+    # keeps every result right and loses the speed
+    calls, fallbacks, inside = Counter(), [], []
+    line, columns = OctSequenceContext.line, verify.gf_columns
+
+    def line_spy(ctx, lo, hi, weights=None):
+        if weights is not None and inside and inside[-1] != "_genfunc_verdicts":
+            fallbacks.append(inside[-1])
+        return line(ctx, lo, hi, weights)
+
+    def columns_spy(gf, count):
+        fallbacks.extend(inside[-1:])
+        return columns(gf, count)
+
+    def watched(name):
+        verdicts = getattr(verify, name)
+
+        def call(*args):
+            packed = isinstance(args[-1], verify._Packed)
+            calls[name] += packed
+            inside.extend([name] * packed)
+            try:
+                return verdicts(*args)
+            finally:
+                del inside[len(inside) - packed :]
+
+        return call
+
+    monkeypatch.setattr(OctSequenceContext, "line", line_spy)
+    monkeypatch.setattr(verify, "gf_columns", columns_spy)
+    for name in ("_lifted_verdicts", "_sum_verdicts", "_genfunc_verdicts"):
+        monkeypatch.setattr(verify, name, watched(name))
+    report = run_suite(SuiteConfig(random_sets=200, seed=1))
+    assert report.total_failures == 0
+    summable = report.categories["scalar_sum"].run // 41
+    assert calls == {
+        "_lifted_verdicts": 204 * 19,
+        "_sum_verdicts": 2 * summable + 4,
+        "_genfunc_verdicts": 204,
+    }
+    # the sign note's misprinted constant, which fails by design, is decided per index
+    assert fallbacks == []
