@@ -23,7 +23,7 @@ from trioct import (
     preset_lookup,
     sum_correction,
 )
-from trioct.verify import REFERENCE_GENFUNC_TABLE, REFERENCE_SUM_CONSTANTS, REFERENCE_SUM_FORMS, _sum_verdicts
+from trioct.verify import REFERENCE_GENFUNC_TABLE, REFERENCE_SUM_CONSTANTS, REFERENCE_SUM_FORMS, _sum_holds
 
 
 def show_generating_functions() -> None:
@@ -62,7 +62,7 @@ def show_summation_constants() -> None:
         # the catalog's form and constant against the direct sums at n <= 20, as verify decides them
         catalog = REFERENCE_SUM_CONSTANTS[name]
         form = REFERENCE_SUM_FORMS[name]
-        holds = all(_sum_verdicts(OctSequenceContext(params), form, tuple(-c for c in catalog), 21))
+        holds = _sum_holds(OctSequenceContext(params), form, tuple(-c for c in catalog), 21)
         marker = "" if holds else "   <-- disagrees with the direct sums"
         constant = ", ".join(map(str, catalog))
         print(f"  catalog: sum(0..n) = {format_sum_form(*form)}, c = ({constant}){marker}")

@@ -9,17 +9,16 @@ over the indices lo .. hi - 1 that computes what its indices share once
 (root powers, the terms as complex, the quadratic form's right side per
 term); its single-index method is the window of one, with the same bits.
 
-An OctSequenceContext caches lines, each filled lazily: one of the exact
-terms, jumped to its first index and stepped up, and one per weight triple
-(a, b, c) of the three-term combinations a*x(k+2) + b*x(k+1) + c*x(k).  A
-line holds one value per index over a contiguous range that starts at the
-first index asked for and grows down or up as later requests need, so each
-value is computed once.  verify decides an int family's identities on
-packed windows of the term line first and reads the combination lines
-only for a rational family or when a packed test fails, its per-index
-fallback.  The shift weights for m = 3, 4, ... come from one companion
-stream, read on by one value per m.  The context is otherwise read-only;
-extending a line or the stream from two threads at once is not safe.
+An OctSequenceContext caches one line of the exact terms, filled lazily:
+jumped to the first index asked for and stepped up, it holds one value
+per index over a contiguous range that grows down or up as later
+requests need, so each term is computed once.  Every three-term
+combination a*O(n+2) + b*O(n+1) + c*O(n) is computed from the ten terms
+it reads.  verify decides every family's exact identities on packed
+windows of that line.  The shift weights for m = 3, 4, ... come from one
+companion stream, read on by one value per m.  The context is otherwise
+read-only; extending the line or the stream from two threads at once is
+not safe.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .cubic import CubicRoots, _binet_parts, _complete, _finite, _out_of_range, _upto_overflow, _window
 from .cubic import binet_scalar, cubic_roots
@@ -37,8 +36,6 @@ from .octonion import Octonion
 from .scalars import COMPLEX, INT, RATIONAL, RegimeError, Scalar, as_complex
 from .sequences import RecurrenceParams, _check_index, _closed_form_sum, _companion_windows
 from .sequences import _expansion_weights, _stepped, sum_constant, terms
-
-_TERMS = "terms"  # the term line's key in OctSequenceContext._lines
 
 
 def sum_correction(params: RecurrenceParams) -> Octonion:
@@ -54,8 +51,8 @@ def sum_correction(params: RecurrenceParams) -> Octonion:
 
 
 class OctSequenceContext:
-    """The lines of one family's exact terms and three-term combinations (see the
-    module docstring), plus its lazy sum correction and root data."""
+    """The line of one family's exact terms (see the module docstring), plus
+    its lazy sum correction and root data."""
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
@@ -63,8 +60,8 @@ class OctSequenceContext:
         self._weights: dict[int, tuple[Scalar, Scalar, Scalar]] = {}
         # the last m the weights were computed for and the companion windows after its own
         self._companion: tuple[int, Iterator] = (0, iter(()))
-        # key -> [start, values]: values[i] belongs to index start + i (see _span)
-        self._lines: dict[object, list] = {}
+        # [start, values]: values[i] is the term at index start + i (see line)
+        self._line: list | None = None
 
     @cached_property
     def roots(self) -> CubicRoots:
@@ -77,45 +74,32 @@ class OctSequenceContext:
         correction = sum_correction(self.params).components
         return tuple(map(int, correction)) if self._kind == INT else correction
 
-    def _span(self, key: object, n: int, width: int, values: Callable[..., list], *args) -> list:
-        """The values of key's line at n .. n + width - 1.
+    def line(self, lo: int, hi: int) -> list[Scalar]:
+        """The exact terms at lo .. hi - 1, from the context's line.
 
-        A new line starts at n.  values(lo, hi, *args) computes the line at
-        lo .. hi - 1; a request past either end extends the line to it,
-        gap included, so the line stays contiguous and no value is computed
-        twice.  If values raises, the line keeps the values it held.
-        """
-        span = self._lines.get(key)
-        if span is None:
-            span = self._lines[key] = [_check_index(n), values(n, n + width, *args)]
-        start, line = span
-        i = n - start
-        if i < 0 or i + width > len(line):
-            _check_index(n)
-            end = start + len(line)
-            if n + width > end:
-                line += values(end, n + width, *args)
-            if i < 0:
-                line[:0] = values(n, start, *args)
-                span[0], i = n, 0
-        return line[i : i + width]
-
-    def line(self, lo: int, hi: int, weights: tuple[Scalar, Scalar, Scalar] | None = None) -> list[Scalar]:
-        """A stretch of one of the context's lines: its values at lo .. hi - 1.
-
-        Without weights, the exact terms; with weights (a, b, c), which share
-        the family's variant, the combinations a*x(k+2) + b*x(k+1) + c*x(k).
-        A stretch the line already covers is read, not computed.
+        A new line starts at lo.  _term_values(lo, hi) computes the terms at
+        lo .. hi - 1; a request past either end extends the line to it, gap
+        included, so the line stays contiguous and no term is computed
+        twice.  If _term_values raises, the line keeps the terms it held.
         """
         if hi < lo:
             raise ValueError(f"a stretch needs lo <= hi, got {lo} .. {hi}")
-        if weights is None:
-            return self._span(_TERMS, lo, hi - lo, self._term_values)
-        return self._span(weights, lo, hi - lo, self._combination, *weights)
+        if self._line is None:
+            self._line = [_check_index(lo), self._term_values(lo, hi)]
+        start, line = span = self._line
+        end = start + len(line)
+        if lo < start or hi > end:
+            _check_index(lo)
+            if hi > end:
+                line += self._term_values(end, hi)
+            if lo < start:
+                line[:0] = self._term_values(lo, start)
+                span[0] = start = lo
+        return line[lo - start : hi - start]
 
     def _term_values(self, lo: int, hi: int) -> list[Scalar]:
-        # the term line's values: stepped on from its last three as it grows up, else jumped to
-        span = self._lines.get(_TERMS)
+        # the line's values: stepped on from its last three as it grows up, else jumped to
+        span = self._line
         if span is not None and span[0] + len(span[1]) == lo and len(span[1]) >= 3:
             return list(islice(_stepped(self.params, *span[1][-3:]), 3, 3 + hi - lo))
         return list(islice(terms(self.params, start=lo), hi - lo))
@@ -139,18 +123,11 @@ class OctSequenceContext:
     def _combine(self, n: int, a: Scalar, b: Scalar, c: Scalar) -> Octonion:
         """a*O(n+2) + b*O(n+1) + c*O(n), exact; a, b, c share the family's variant.
 
-        Component l is a*x(k+2) + b*x(k+1) + c*x(k) at k = n + l, read from
-        the line of (a, b, c), which computes it once per index.
+        Component l is a*x(k+2) + b*x(k+1) + c*x(k) at k = n + l, from the
+        terms n .. n + 9.
         """
-        return Octonion._raw(tuple(self.line(n, n + 8, (a, b, c))), self._kind)
-
-    def _combination(self, lo: int, hi: int, a: Scalar, b: Scalar, c: Scalar) -> list[Scalar]:
-        x = self.line(lo, hi + 2)
-        # a loop, not a comprehension: most calls add one value
-        out = []
-        for k in range(hi - lo):
-            out.append(a * x[k + 2] + b * x[k + 1] + c * x[k])
-        return out
+        x = self.line(n, n + 10)
+        return Octonion._raw(tuple(a * x[k + 2] + b * x[k + 1] + c * x[k] for k in range(8)), self._kind)
 
     def recurrence_check(self, n: int) -> tuple[Octonion, Octonion]:
         """(r*O(n+1) + s*O(n) + t*O(n-1), O(n+2)) for n >= 1; equal exactly.

@@ -9,18 +9,15 @@ that fall outside an identity's hypotheses (delta = 0 for the sum
 formulas, a nonpositive discriminant for anything root-based) are counted
 as skipped, not failed.
 
-The scalar identities (the companion expansion, the closed-form prefix
-sum), the lifted ones (the recurrence, the index shifts, the lifted and
-tabulated prefix sums) and the generating function's expansion are
-decided once per index on the context's scalar lines, every prefix-sum
-form by _sum_verdicts and the expansion on its slot columns; only a
-failing index builds its pair through the library function that states
-the identity, so its residual is the one that function gives.  For an
-int family, the lifted identities, the prefix sums and the expansion are
-first decided on packed windows of the term line (_Packed): one exact
-test on a few big ints each, which passes every index when it holds.
-When it fails, and for a rational family, the per-index verdicts decide,
-so failing counts and residuals do not depend on the packing.  Each
+The exact identities (the recurrence, the companion expansion, the index
+shifts, the prefix sums and the generating function's expansion) are
+each decided once per family on packed windows of its term line
+(_Packed): one exact test on a few big ints, which passes every index
+when it holds.  A rational family's line is scaled to ints by the lcm of
+its denominators, and each relation's weights by the lcm of theirs.
+When a test fails, and for a rational family's expansion, every index
+builds its pair through the library function that states the identity,
+so failing counts and residuals are the ones that function gives.  Each
 root-based closed form is evaluated as one window of indices.
 
 Aggregation is order-independent (sums and maxima), so checks could be
@@ -36,11 +33,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, islice
-from operator import eq
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from .cubic import binet_scalars
-from .genfunc import build_gf, gf_columns, gf_expand, gf_numerator, gf_series
+from .genfunc import build_gf, gf_expand, gf_numerator, gf_series
 from .octonion import Octonion
 from .octseq import OctSequenceContext, sum_correction
 from .scalars import COMPLEX, INT, RegimeError, Scalar, VariantError, as_complex
@@ -302,17 +299,22 @@ def _exact_pair(result: CategoryResult, lhs: object, rhs: object) -> None:
 
 
 class _Packed:
-    """An int family's term line x(0) .. x(N-1) packed once: x(k) + 2^(B-1) in the B-bit slot k.
+    """A family's terms y(0) .. y(N-1) packed once: y(k) + 2^(B-1) in the B-bit slot k.
 
-    window(j, k) is the signed packing x(j) + x(j+1)*2^B + ... + x(j+k-1)*2^(B*(k-1)),
-    read from the slots' bytes.  A sum of windows whose integer weights add up
-    to w in absolute value has slots e with |e| <= w*max|x|; while that is
-    below 2^(B-1), the sum is zero exactly when every slot is, as the lowest
-    nonzero slot of a zero sum would be a multiple of 2^B.  B is the fewest
-    whole bytes with 2^(B-1) > weight*max|x|.
+    y is the line it is given, scaled by the lcm of its denominators when
+    rational.  window(j, k) is the signed packing y(j) + y(j+1)*2^B + ...
+    + y(j+k-1)*2^(B*(k-1)), read from the slots' bytes.  A sum of windows
+    whose integer weights add up to w in absolute value has slots e with
+    |e| <= w*max|y|; while that is below 2^(B-1), the sum is zero exactly
+    when every slot is, as the lowest nonzero slot of a zero sum would be a
+    multiple of 2^B.  B is the fewest whole bytes with 2^(B-1) > weight*max|y|.
     """
 
-    def __init__(self, x: list[int], weight: int):
+    def __init__(self, x: list[Scalar], weight: int, rational: bool = False):
+        if rational:
+            scale = lcm(*(v.denominator for v in x))
+            x = [v.numerator * (scale // v.denominator) for v in x]
+        self.rational = rational
         self.top, self.count = max(map(abs, x), default=0), len(x)
         self.size = size = (weight * self.top).bit_length() // 8 + 1
         self.bits, self.bias = 8 * size, 1 << 8 * size - 1
@@ -333,106 +335,112 @@ class _Packed:
             value = self._windows[j, k] = int.from_bytes(slots, "little") - biases
         return value
 
-    def zero(self, terms: tuple[tuple[int, int], ...], k: int) -> bool:
-        """Whether the sum of w*window(j, k) over (w, j) in terms is zero; False past the width bound."""
+    def zero(self, terms: tuple[tuple[Scalar, int], ...], k: int) -> bool:
+        """Whether the sum of w*window(j, k) over (w, j) in terms, weights scaled
+        to ints (_integral) when rational, is zero; False past the width bound."""
         total = weight = 0
-        for w, j in terms:
+        for w, j in _integral(terms) if self.rational else terms:
             total += w * self.window(j, k)
             weight += abs(w)
         return weight * self.top < self.bias and not total
 
 
-def _lifted_verdicts(
-    ctx: OctSequenceContext,
-    m: int,
-    weights: tuple[Scalar, Scalar, Scalar],
-    count: int,
-    packing: _Packed | None = None,
-) -> list[bool]:
-    """Whether O(n + m) == a*O(n+2) + b*O(n+1) + c*O(n), (a, b, c) = weights, at n = 0 .. count - 1.
+def _integral(terms: tuple[tuple[Scalar, int], ...]) -> list[tuple[int, int]]:
+    # a relation's weights times the lcm of their denominators
+    scale = lcm(*(w.denominator for w, _ in terms))
+    return [(w.numerator * (scale // w.denominator), j) for w, j in terms]
+
+
+def _weight(relations: list, rational: bool) -> int:
+    # the largest absolute sum of a relation's weights, scaled to ints as a rational packing scales them
+    return max(sum(abs(w) for w, _ in (_integral(t) if rational else t)) for t in relations)
+
+
+def _lifted(m: int, weights: tuple[Scalar, Scalar, Scalar]) -> tuple[tuple[Scalar, int], ...]:
+    # x(k + m) - a*x(k+2) - b*x(k+1) - c*x(k) as windows from k
+    a, b, c = weights
+    return (1, m), (-a, 2), (-b, 1), (-c, 0)
+
+
+def _lifted_holds(ctx: OctSequenceContext, m: int, count: int, packing: _Packed) -> bool:
+    """Whether O(n + m) == a*O(n+2) + b*O(n+1) + c*O(n) at n = 0 .. count - 1, (a, b, c) the shift weights.
 
     The lifted identity holds at n exactly when its scalar form
     x(k + m) = a*x(k+2) + b*x(k+1) + c*x(k) holds at the eight indices
-    k = n .. n+7.  With a packing, the count + 7 of them are one test on
-    its windows; without, or when that fails, the term line from m and the
-    weights' line from 0 are compared once per index.
+    k = n .. n+7, so the count + 7 of them are one test on the windows.
     """
-    a, b, c = weights
-    if packing and packing.zero(((1, m), (-a, 2), (-b, 1), (-c, 0)), count + 7):
-        return [True] * count
-    agree = list(map(eq, ctx.line(m, m + count + 7), ctx.line(0, count + 7, weights)))
-    if all(agree):
-        return [True] * count
-    return [all(agree[n : n + 8]) for n in range(count)]
+    return packing.zero(_lifted(m, ctx.shift_coefficients(m)), count + 7)
 
 
-def _companion_verdicts(ctx: OctSequenceContext, u: list[Scalar]) -> list[bool]:
-    """Whether term(n+1) == v2*U(n) + (s*v1 + t*v0)*U(n-1) + t*v1*U(n-2) at n = 2 .. len(u) - 1.
+def _companion(p: RecurrenceParams, at: int) -> tuple[tuple[Scalar, int], ...]:
+    # x(n+1) - v2*U(n) - (s*v1 + t*v0)*U(n-1) - t*v1*U(n-2) as windows from n = 2, U(k) in slot at + k
+    return (1, 3), (-p.v2, at + 2), (-(p.s * p.v1 + p.t * p.v0), at + 1), (-p.t * p.v1, at)
 
-    u holds the companion terms U(0), U(1), ...; the terms come from the
-    term line.  The right side is companion_identity's, its weights gathered once.
+
+def _companion_holds(ctx: OctSequenceContext, at: int, count: int, packing: _Packed) -> bool:
+    """Whether term(n+1) == v2*U(n) + (s*v1 + t*v0)*U(n-1) + t*v1*U(n-2) at n = 2 .. count + 1.
+
+    The packing holds the companion terms U(0), U(1), ... from slot at on;
+    the right side is companion_identity's.
     """
-    p = ctx.params
-    b, c = p.s * p.v1 + p.t * p.v0, p.t * p.v1
-    x = ctx.line(3, len(u) + 1)
-    return [y == p.v2 * u2 + b * u1 + c * u0 for y, u0, u1, u2 in zip(x, u, u[1:], u[2:])]
+    return packing.zero(_companion(ctx.params, at), count)
 
 
-def _sum_verdicts(
+def _steps(form: tuple) -> tuple[tuple[Scalar, int], ...]:
+    # the steps gap(k+1) - gap(k) of a prefix-sum form's gap (see _sum_holds) as windows from k
+    (a, b, c), off, d = form
+    return (a, off + 3), (b - a, off + 2), (c - b, off + 1), (-c, off), (-d, 1)
+
+
+def _sum_holds(
     ctx: OctSequenceContext,
     form: tuple,
     constant: tuple[Scalar, ...],
     count: int,
     packing: _Packed | None = None,
-) -> list[bool]:
-    """Whether a prefix-sum form ((a, b, c), off, d) holds at n = 0 .. count - 1.
+) -> bool:
+    """Whether a prefix-sum form ((a, b, c), off, d) holds at n = 0 .. count - 1 (count >= 2).
 
-    With comb(k) = a*x(k+2) + b*x(k+1) + c*x(k), read from its line, it holds
-    at n when (comb(n+off+l) + constant[l]) / d == x(l) + ... + x(n+l) for
-    every l < len(constant).  With P(k) = x(0) + ... + x(k), that is
-    gap(n+l) == -constant[l] - d*P(l-1) for the gap comb(k+off) - d*P(k),
-    computed once per index.  When every target is one value, every check
-    holds exactly when gap(0) is that value and the gap's steps
+    With comb(k) = a*x(k+2) + b*x(k+1) + c*x(k), it holds at n when
+    (comb(n+off+l) + constant[l]) / d == x(l) + ... + x(n+l) for every
+    l < len(constant).  With P(k) = x(0) + ... + x(k), that is
+    gap(n+l) == -constant[l] - d*P(l-1) for the gap comb(k+off) - d*P(k).
+    Two indices in a row need every target to be one value; then every
+    check holds exactly when gap(0) is that value and the gap's steps
     gap(k+1) - gap(k) = a*x(k+off+3) + (b-a)*x(k+off+2) + (c-b)*x(k+off+1)
-    - c*x(k+off) - d*x(k+1) are zero, one test on a packing's windows.
+    - c*x(k+off) - d*x(k+1) are zero, one test on the windows.  Without a
+    packing, the terms the steps read are packed for this test alone.
     """
-    weights, off, d = form
+    (a, b, c), off, d = form
     width = len(constant)
     targets = [-k - d * s for k, s in zip(constant, accumulate(ctx.line(0, width - 1), initial=0))]
-    if packing and targets.count(targets[0]) == width:
-        (a, b, c), x = weights, ctx.line(0, off + 3)
-        gap = a * x[off + 2] + b * x[off + 1] + c * x[off] - d * x[0]
-        steps = ((a, off + 3), (b - a, off + 2), (c - b, off + 1), (-c, off), (-d, 1))
-        if gap == targets[0] and packing.zero(steps, count + width - 2):
-            return [True] * count
-    x = ctx.line(0, count + width - 1)
-    gaps = [c - d * s for c, s in zip(ctx.line(off, off + count + width - 1, weights), accumulate(x))]
-    return [gaps[n : n + width] == targets for n in range(count)]
+    x = ctx.line(0, off + 3)
+    gap = a * x[off + 2] + b * x[off + 1] + c * x[off] - d * x[0]
+    if packing is None:
+        rational = ctx.params.variant != INT
+        packing = _Packed(ctx.line(0, off + count + width + 1), _weight([_steps(form)], rational), rational)
+    return targets.count(gap) == width and packing.zero(_steps(form), count + width - 2)
 
 
-def _genfunc_verdicts(ctx: OctSequenceContext, count: int, packing: _Packed | None = None) -> list[bool]:
-    """Whether the generating function's coefficient n equals O(n), at n = 0 .. count - 1.
+def _genfunc_holds(ctx: OctSequenceContext, count: int, packing: _Packed) -> bool:
+    """Whether the generating function's coefficient n equals O(n) at n = 0 .. count - 1; False when rational.
 
-    Slot l of coefficient n is column l of gf_columns at n, and component l
-    of O(n) is term n + l, so each column is compared with the term line
-    from l once per index.  With a packing, the series runs once on the
-    numerator's octonions packed as ints, and coefficient n is compared with
-    window(n, 8): while the coefficients below n equal their lifts, the slots
-    of coefficient n differ from theirs by at most |num(n)| + (1 + |r| + |s|
-    + |t|)*max|x|, which must stay below the width bound.
+    The series runs once on the numerator's octonions packed as ints, and
+    coefficient n is compared with window(n, 8): while the coefficients
+    below n equal their lifts, the slots of coefficient n differ from
+    theirs by at most |num(n)| + (1 + |r| + |s| + |t|)*max|x|, which must
+    stay below the width bound.
     """
+    if packing.rational:
+        return False
     gf = build_gf(ctx)
-    if packing:
-        num = [c.components for c in gf.numerator.coeffs]
-        r, s, t = (-c for c in gf.denom_coeffs[1:])
-        bound = packing.top * (1 + abs(r) + abs(s) + abs(t)) + max(map(abs, chain(*num)), default=0)
-        packed = [sum(v << packing.bits * l for l, v in enumerate(c)) for c in num]
-        if bound < packing.bias:
-            if gf_series(packed, r, s, t, count, 0) == [packing.window(n, 8) for n in range(count)]:
-                return [True] * count
-    x = ctx.line(0, count + 7)
-    agree = (map(eq, column, x[l:]) for l, column in enumerate(gf_columns(gf, count)))
-    return list(map(all, zip(*agree)))
+    num = [c.components for c in gf.numerator.coeffs]
+    r, s, t = (-c for c in gf.denom_coeffs[1:])
+    bound = packing.top * (1 + abs(r) + abs(s) + abs(t)) + max(map(abs, chain(*num)), default=0)
+    packed = [sum(v << packing.bits * l for l, v in enumerate(c)) for c in num]
+    return bound < packing.bias and gf_series(packed, r, s, t, count, 0) == [
+        packing.window(n, 8) for n in range(count)
+    ]
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -474,26 +482,24 @@ def _scalar_sum_form(params: RecurrenceParams) -> tuple:
     return (1, 1 - params.r, params.t), 0, params.delta
 
 
-def _packing(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> _Packed | None:
-    """An int family's term line x(0) .. x(config.deepest) packed for _checks; None for a rational family.
+def _packing(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig, u: list[Scalar]) -> _Packed:
+    """A family's term line x(0) .. x(config.deepest), then its companion terms u, packed for _checks.
 
     The slots are wide enough for every test _checks makes on the windows:
-    the weight is the largest of 1 + |a| + |b| + |c| over the shift weights,
-    2*(|a| + |b| + |c|) + |d| over the sum forms and 2*(1 + |r| + |s|) + |t|
-    for the expansion, whose numerator's slots reach (1 + |r| + |s|)*max|x|.
+    the weight is the largest of _weight over the companion expansion, the
+    shifts and the sum forms' steps and, for an int family's expansion,
+    2*(1 + |r| + |s|) + |t|, as its numerator's slots reach (1 + |r| + |s|)*max|x|.
     """
     p = ctx.params
-    if p.variant != INT:
-        return None
+    rational = p.variant != INT
     forms = [_scalar_sum_form(p)] if p.delta != 0 else []
     forms += [REFERENCE_SUM_FORMS[preset]] if preset is not None else []
-    shifts = [ctx.shift_coefficients(m) for m in range(3, config.m_max + 1)]
-    weight = max(
-        2 * (1 + abs(p.r) + abs(p.s)) + abs(p.t),
-        *(1 + abs(a) + abs(b) + abs(c) for a, b, c in shifts),
-        *(2 * (abs(a) + abs(b) + abs(c)) + abs(d) for (a, b, c), _, d in forms),
-    )
-    return _Packed(ctx.line(0, config.deepest + 1), weight)
+    relations = [_companion(p, 0), *map(_steps, forms)]
+    relations += (_lifted(m, ctx.shift_coefficients(m)) for m in range(3, config.m_max + 1))
+    weight = _weight(relations, rational)
+    if not rational:
+        weight = max(weight, 2 * (1 + abs(p.r) + abs(p.s)) + abs(p.t))
+    return _Packed(ctx.line(0, config.deepest + 1) + u, weight, rational)
 
 
 def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) -> Iterator[tuple]:
@@ -520,34 +526,31 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     # direct sums O(0)+...+O(n), for a failing sum_table or octonion_sum check
     sums = cache(lambda: ctx.oct_prefix_sums(n_max))
     form = _scalar_sum_form(params)
-    packing = _packing(preset, ctx, config)
+    u = list(islice(terms(params, companion=True), n_max + 1))
+    packing = _packing(preset, ctx, config, u)
 
     def settle(
-        verdicts: list[bool], build: Callable[[int], tuple], first: int = 0
+        holds: bool, count: int, build: Callable[[int], tuple], first: int = 0
     ) -> tuple[int, Iterator]:
-        # the verdicts at n = first, first + 1, ...: a passing n is counted;
-        # only a failing n builds its pair
-        passed = verdicts.count(True)
-        if passed == len(verdicts):
-            return passed, iter(())
-        return passed, (build(n) for n, ok in enumerate(verdicts, first) if not ok)
+        # a test that holds passes its count checks at n = first, first + 1, ...;
+        # one that fails builds every index's pair
+        return (count, iter(())) if holds else (0, map(build, range(first, first + count)))
 
     def lifted(m: int, count: int, build: Callable[[int], tuple]) -> tuple[int, Iterator]:
-        return settle(_lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count, packing), build)
+        return settle(_lifted_holds(ctx, m, count, packing), count, build)
+
+    def summed(constant: tuple, build: Callable[[int], tuple], form: tuple = form) -> tuple[int, Iterator]:
+        return settle(_sum_holds(ctx, form, constant, n_max + 1, packing), n_max + 1, build)
 
     # the recurrence at n is the shift by m = 3 at n - 1, whose weights are (r, s, t)
     yield "recurrence", lifted(3, n_max, lambda n: ctx.recurrence_check(n + 1))
-    u = list(islice(terms(params, companion=True), n_max + 1))
-    yield "companion_identity", settle(_companion_verdicts(ctx, u), partial(companion_identity, params), 2)
+    # U(0) sits in the slot after the last term
+    holds = _companion_holds(ctx, config.deepest + 1, n_max - 1, packing)
+    yield "companion_identity", settle(holds, n_max - 1, partial(companion_identity, params), 2)
     if summable:
-        yield "scalar_sum", settle(
-            _sum_verdicts(ctx, form, (sum_constant(params, params.s),), n_max + 1, packing),
-            lambda n: (partial_sum_formula(params, n), prefix_sum(params, n)),
-        )
-        yield "octonion_sum", settle(
-            _sum_verdicts(ctx, form, ctx.correction, n_max + 1, packing),
-            lambda n: (ctx.sum_octonions(n), sums()[n]),
-        )
+        scalar = (sum_constant(params, params.s),)
+        yield "scalar_sum", summed(scalar, lambda n: (partial_sum_formula(params, n), prefix_sum(params, n)))
+        yield "octonion_sum", summed(ctx.correction, lambda n: (ctx.sum_octonions(n), sums()[n]))
     else:
         yield "scalar_sum", None
         yield "octonion_sum", None
@@ -569,16 +572,17 @@ def _checks(preset: str | None, ctx: OctSequenceContext, config: SuiteConfig) ->
     count = min(n_max + 1, 50)
     expanded = cache(lambda: gf_expand(build_gf(ctx), count))
     yield "genfunc_roundtrip", settle(
-        _genfunc_verdicts(ctx, count, packing), lambda n: (expanded()[n], ctx.oct_term(n))
+        _genfunc_holds(ctx, count, packing), count, lambda n: (expanded()[n], ctx.oct_term(n))
     )
     if not tabulated:
         yield "sum_table", None
     else:
         constant = Octonion(tuple(Fraction(c) for c in config.sum_constant(preset)))
         w, off, d = table_form = REFERENCE_SUM_FORMS[preset]
-        passed, failing = settle(
-            _sum_verdicts(ctx, table_form, (-constant).components, n_max + 1, packing),
+        passed, failing = summed(
+            (-constant).components,
             lambda n: ((ctx._combine(n + off, *w).as_rational() - constant) * Fraction(1, d), sums()[n]),
+            table_form,
         )
         yield "sum_table", (passed, chain([(sum_correction(params), -constant)], failing))
     shifts = range(3, config.m_max + 1)
@@ -619,7 +623,7 @@ def _misprint_fails(ctx: OctSequenceContext, count: int) -> bool:
     """Whether the misprinted (r-s-1)*v0 sum constant fails at some n < count (delta != 0),
     decided on the scalar sum's form as scalar_sum decides the corrected constant."""
     p = ctx.params
-    return not all(_sum_verdicts(ctx, _scalar_sum_form(p), (sum_constant(p, -p.s),), count))
+    return not _sum_holds(ctx, _scalar_sum_form(p), (sum_constant(p, -p.s),), count)
 
 
 def _sign_erratum_note(fails: list[bool], count: int) -> str:

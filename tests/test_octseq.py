@@ -568,13 +568,10 @@ def test_shared_lines_match_the_combinations_of_the_terms(params, rational, call
             while rows and not rows[-1]:
                 rows.pop()
             assert gf_numerator(ctx).coeffs == tuple(rows)
-    # every line the calls used holds its own triple's combination at every
-    # index, the values it cached among them, and the term line the terms
-    triples = {(r, s, t), (1, 1 - r, t), (0, 1, -r), (1, -r, -s)}
-    triples |= {(u[m - 1], s * u[m - 2] + t * u[m - 3], t * u[m - 2]) for kind, _, m in calls if kind == "shift"}
+    # the calls share one line, which holds the terms wherever it reaches
     assert ctx.line(0, 100) == x[:100]
-    for weights in triples:
-        assert ctx.line(0, 100, weights) == line(0, 100, *weights)
+    start, values = ctx._line
+    assert values == x[start : start + len(values)]
 
 
 def computed_stretches(monkeypatch, method):
@@ -582,32 +579,32 @@ def computed_stretches(monkeypatch, method):
     asked = []
     values = getattr(OctSequenceContext, method)
 
-    def spy(self, lo, hi, *weights):
+    def spy(self, lo, hi):
         asked.append((lo, hi))
-        return values(self, lo, hi, *weights)
+        return values(self, lo, hi)
 
     monkeypatch.setattr(OctSequenceContext, method, spy)
     return asked
 
 
 def test_a_deep_call_computes_only_the_indices_it_returns(monkeypatch):
-    asked = computed_stretches(monkeypatch, "_combination")
+    asked = computed_stretches(monkeypatch, "_term_values")
     ctx = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     lhs, rhs = ctx.shift_formula(5000, 7)
     assert lhs == rhs
-    assert asked == [(5000, 5008)]
-    assert ctx.line(5000, 5008, ctx.shift_coefficients(7)) == list(rhs.components)
+    # O(5007), then the ten terms from 5000 that the combination reads
+    assert asked == [(5007, 5015), (5000, 5007)]
     # a shallower call extends the same line downward to it
     assert ctx.shift_formula(0, 7) == (ctx.oct_term(7), ctx.oct_term(7))
-    assert asked == [(5000, 5008), (0, 5000)]
+    assert asked[2:] == [(7, 5000), (0, 7)]
     fresh = OctSequenceContext(RecurrenceParams(1, 1, 1, 0, 1, 1))
     total = fresh.sum_octonions(5000)
-    assert asked[2:] == [(5000, 5008)]
+    assert asked[4:] == [(5000, 5010)]
     assert total == fresh.oct_prefix_sum(5000)
-    # the float checks read the term line and keep no line of their own
-    lines = {key: [start, list(values)] for key, (start, values) in fresh._lines.items()}
+    assert asked[5:] == [(0, 5000)]
+    # the float checks read the term line and compute no term it holds
     fresh.quad_residual(20, "alpha")
-    assert fresh._lines == lines
+    assert len(asked) == 6
 
 
 @pytest.mark.parametrize(
@@ -640,7 +637,8 @@ def test_the_line_reader_reads_any_stretch():
     assert ctx.line(40, 41) == x[40:41]
     assert ctx.line(41, 43) == x[41:43]
     assert ctx.line(30, 60) == x[30:60]
-    assert ctx.line(5, 9, (1, 2, 3)) == [x[k + 2] + 2 * x[k + 1] + 3 * x[k] for k in range(5, 9)]
+    combination = tuple(x[k + 2] + 2 * x[k + 1] + 3 * x[k] for k in range(5, 13))
+    assert ctx._combine(5, 1, 2, 3).components == combination
     with pytest.raises(ValueError):
         ctx.line(9, 8)
     with pytest.raises(ValueError):
@@ -657,16 +655,17 @@ def test_a_line_computes_each_index_once_and_survives_a_failed_extension():
             raise OverflowError
         return list(range(lo, hi))
 
+    ctx._term_values = values
     with pytest.raises(OverflowError):
-        ctx._span("k", 200, 4, values)
-    assert "k" not in ctx._lines
-    assert ctx._span("k", 10, 4, values) == [10, 11, 12, 13]
+        ctx.line(200, 204)
+    assert ctx._line is None
+    assert ctx.line(10, 14) == [10, 11, 12, 13]
     with pytest.raises(OverflowError):
-        ctx._span("k", 98, 4, values)
-    assert ctx._lines["k"] == [10, [10, 11, 12, 13]]
+        ctx.line(98, 102)
+    assert ctx._line == [10, [10, 11, 12, 13]]
     # a request past both ends extends the line up, then down
-    assert ctx._span("k", 5, 20, values) == list(range(5, 25))
-    assert ctx._span("k", 7, 2, values) == [7, 8]
+    assert ctx.line(5, 25) == list(range(5, 25))
+    assert ctx.line(7, 9) == [7, 8]
     assert asked == [(200, 204), (10, 14), (14, 102), (14, 25), (5, 10)]
     with pytest.raises(ValueError):
-        ctx._span("k", -1, 4, values)
+        ctx.line(-1, 3)

@@ -51,7 +51,7 @@ def test_every_listed_mutant_applies_once():
 
 def test_mutants_fails_on_an_uncaught_or_a_stale_mutant(capsys):
     script = _mutants_script()
-    comment = "# the term line's key in OctSequenceContext._lines"
+    comment = "# the omega1 line is subtracted with its part negated back: adding"
     tests = ("tests/test_package.py",)
     uncaught = script.Mutant("src/trioct/octseq.py", comment, "# an edited comment", tests)
     stale = script.Mutant("src/trioct/octseq.py", "a snippet the source does not hold", "", tests)

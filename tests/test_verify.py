@@ -253,6 +253,23 @@ _PINNED = {
         {},
         (7, 15),
     ),
+    # rational families only, one at delta = 0: no tabulated rows, no root-based forms
+    "rational": (
+        SuiteConfig(
+            presets=(),
+            extra_params=(
+                RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))),
+                RecurrenceParams(*(Fraction(f, 3) for f in (1, 1, 1, 0, 1, 1))),
+                RecurrenceParams(*(Fraction(f, 3) for f in (2, -1, 3, 1, 0, -2))),
+            ),
+        ),
+        (
+            (120, 0, 0), (117, 0, 0), (82, 0, 1), (82, 0, 1), (0, 0, 3), (123, 0, 0),
+            (0, 0, 3), (2214, 0, 0), (0, 0, 3), (0, 0, 3), (0, 0, 3), (0, 0, 3),
+        ),
+        {},
+        (3, 3),
+    ),
 }
 
 
@@ -302,53 +319,107 @@ def test_a_tampered_weight_fails_with_its_residual(monkeypatch, at):
     assert report.total_failures == sum(failed for _, failed, _ in expected.values())
 
 
-class _OneBadIndex:
-    """Lines for _lifted_verdicts: the term line 0, 1, 2, ..., and a weights' line
-    that equals the term line from m except at index bad."""
+def _exact_counts(ctx, config, preset=None):
+    """(run, failed) of each exact category that _checks decides for one family, as run_suite records them."""
+    counts = {}
+    for name, checks in verify._checks(preset, ctx, config):
+        if name in EXACT_CATEGORIES and checks is not None:
+            passed, pairs = checks
+            equal = [lhs == rhs for lhs, rhs in pairs]
+            counts[name] = (passed + len(equal), equal.count(False))
+    return counts
 
-    def __init__(self, m, bad):
-        self.m, self.bad = m, bad
 
-    def line(self, lo, hi, weights=None):
-        if weights is None:
-            return list(range(lo, hi))
-        return [k + self.m + (k == self.bad) for k in range(lo, hi)]
+def _packing(ctx, config, preset=None):
+    """The packing _checks makes for one family on config."""
+    u = list(islice(terms(ctx.params, companion=True), config.n_max + 1))
+    return verify._packing(preset, ctx, config, u)
+
+
+class _BadStep(OctSequenceContext):
+    """A context whose term line breaks the recurrence at one step: x(bad + 3) is one too
+    large and the line steps on from there, so the companion terms U(k - bad - 2) are
+    added from index bad + 3 on; the lifts and the combinations read that line."""
+
+    def __init__(self, params, bad):
+        super().__init__(params)
+        self.bad = bad
+        self.u = list(islice(terms(params, companion=True), 200))
+
+    def line(self, lo, hi):
+        return [x + self.u[max(k - self.bad - 2, 0)] for k, x in enumerate(super().line(lo, hi), lo)]
 
 
 @pytest.mark.parametrize("bad", [0, 3, 7, 8, 15, 19])
 def test_a_bad_index_fails_the_eight_lifts_that_read_it(bad):
-    verdicts = verify._lifted_verdicts(_OneBadIndex(5, bad), 5, (1, 1, 1), 13)
-    assert verdicts == [not n <= bad <= n + 7 for n in range(13)]
+    # the lift by m at n reads the steps n .. n + m + 4 of the recurrence, so a bad
+    # step fails the eight recurrence lifts n = bad - 7 .. bad; tribonacci's shift
+    # weights and companion terms are all positive, so that nothing cancels
+    config = SuiteConfig(n_max=14, m_max=9)
+    counts = _exact_counts(_BadStep(preset_lookup("tribonacci"), bad), config)
+    assert counts["recurrence"] == (14, sum(n <= bad <= n + 7 for n in range(14)))
+    failing = sum(n <= bad <= n + m + 4 for m in range(3, 10) for n in range(15))
+    assert counts["shift_formula"] == (7 * 15, failing)
 
 
 # coefficients are often 0, so that some families have runs of zero terms:
 # a tampered weight there fails at some n and passes at others
 _coefficient = st.one_of(st.just(0), st.integers(-5, 5))
 _small_params = st.builds(RecurrenceParams, *[_coefficient] * 3, *[st.integers(-3, 3)] * 3)
-
-
-@given(
-    _small_params,
-    st.booleans(),
-    st.integers(3, 14),
-    st.integers(3, 9),
-    st.one_of(st.none(), st.tuples(st.integers(3, 9), st.integers(0, 2), st.sampled_from([-1, 1, 2]))),
+# a shift weight bumped at (m, slot), or a term one too large, or neither
+_tamper = st.one_of(
+    st.none(),
+    st.tuples(st.just("weight"), st.integers(3, 9), st.integers(0, 2), st.sampled_from([-1, 1, 2])),
+    st.tuples(st.just("term"), st.integers(0, 40)),
 )
+
+
+def _tampered_terms(bad, stream=sequences.terms):
+    """sequences.terms with term bad one too large, at any start; the companion terms as they are."""
+
+    def tampered(params, companion=False, start=0):
+        values = stream(params, companion, start)
+        return values if companion else (x + (k == bad) for k, x in enumerate(values, start))
+
+    return tampered
+
+
+def _contexts(mp, params, tamper):
+    """Two contexts on params under tamper: one to decide on, one to build the pairs on.
+
+    A tampered term reads one too large on the contexts' lines and in sequences,
+    whose functions build the companion and scalar-sum pairs.
+    """
+    if tamper and tamper[0] == "weight":
+        mp.setattr(octseq, "_expansion_weights", _tampered_weights(*tamper[1:]))
+    if tamper and tamper[0] == "term":
+        mp.setattr(sequences, "terms", _tampered_terms(tamper[1]))
+        return _BadTermLine(params, tamper[1]), _BadTermLine(params, tamper[1])
+    return OctSequenceContext(params), OctSequenceContext(params)
+
+
+def _twin(params, rational):
+    return RecurrenceParams(*(Fraction(f, 3) for f in params.fields())) if rational else params
+
+
+@given(_small_params, st.booleans(), st.integers(3, 14), st.integers(3, 9), _tamper)
+@example(RecurrenceParams(1, 1, 1, 0, 1, 1), False, 14, 9, ("term", 12))
+@example(RecurrenceParams(1, 0, 0, 0, 0, 1), True, 10, 5, ("weight", 5, 1, -1))
 @settings(max_examples=100, deadline=None)
 def test_line_verdicts_match_the_octonion_pairs(params, rational, n_max, m_max, tamper):
-    if rational:
-        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    # the packed decision holds exactly when every index's pair is equal
+    params = _twin(params, rational)
     with pytest.MonkeyPatch.context() as mp:
-        if tamper:
-            mp.setattr(octseq, "_expansion_weights", _tampered_weights(*tamper))
-            m_max = max(m_max, tamper[0])
-        ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
+        if tamper and tamper[0] == "weight":
+            m_max = max(m_max, tamper[1])
+        ctx, pairs = _contexts(mp, params, tamper)
+        packing = _packing(ctx, SuiteConfig(n_max=n_max, m_max=m_max))
         for m in range(3, m_max + 1):
-            verdicts = verify._lifted_verdicts(ctx, m, ctx.shift_coefficients(m), n_max + 1)
-            assert verdicts == [operator.eq(*pairs.shift_formula(n, m)) for n in range(n_max + 1)]
+            holds = all(operator.eq(*pairs.shift_formula(n, m)) for n in range(n_max + 1))
+            assert verify._lifted_holds(ctx, m, n_max + 1, packing) == holds
         # the recurrence at n is the shift by 3 at n - 1
-        verdicts = verify._lifted_verdicts(ctx, 3, ctx.shift_coefficients(3), n_max)
-        assert verdicts == [operator.eq(*pairs.recurrence_check(n)) for n in range(1, n_max + 1)]
+        holds = all(operator.eq(*pairs.recurrence_check(n)) for n in range(1, n_max + 1))
+        assert verify._lifted_holds(ctx, 3, n_max, packing) == holds
 
 
 def _bumped_sum_constant(monkeypatch, bump):
@@ -377,56 +448,29 @@ def test_a_tampered_sum_constant_fails_with_its_residual(monkeypatch):
     assert report.total_failures == 742
 
 
-class _OneBadValue:
-    """A context for _companion_verdicts and _sum_verdicts (by default on r = 2, s = t = 1,
-    seeds (1, 1, 1)) whose term line is one too large at index bad; its
-    combination lines are computed from that line, its correction from the
-    true terms."""
-
-    def __init__(self, bad, params=RecurrenceParams(2, 1, 1, 1, 1, 1)):
-        self.params = params
-        self.correction = OctSequenceContext(self.params).correction
-        self.x = list(islice(terms(self.params), 40))
-        self.x[bad] += 1
-
-    def line(self, lo, hi, weights=None):
-        if weights is None:
-            return self.x[lo:hi]
-        a, b, c = weights
-        return [a * self.x[k + 2] + b * self.x[k + 1] + c * self.x[k] for k in range(lo, hi)]
-
-
 @pytest.mark.parametrize("bad", [0, 3, 7, 12, 20])
-def test_a_bad_value_fails_the_sum_and_companion_checks_that_read_it(bad):
-    # here t != delta and 1 - r != 0, so every weight that reads a term is nonzero
-    ctx = _OneBadValue(bad)
-    u = list(islice(terms(ctx.params, companion=True), 24))
-    # the companion check at n reads term(n + 1) and U(n - 2) .. U(n)
-    assert verify._companion_verdicts(ctx, u) == [n + 1 != bad for n in range(2, 24)]
-    u[bad] += 1
-    assert verify._companion_verdicts(OctSequenceContext(ctx.params), u) == [
-        not n - 2 <= bad <= n for n in range(2, 24)
-    ]
-    # the scalar sum at n reads the terms up to n + 2, the lifted one up to n + 9
-    p = ctx.params
-    form = ((1, 1 - p.r, p.t), 0, p.delta)
-    assert verify._sum_verdicts(ctx, form, (sequences.sum_constant(p, p.s),), 24) == [
-        n < bad - 2 for n in range(24)
-    ]
-    assert verify._sum_verdicts(ctx, form, ctx.correction, 24) == [n < bad - 9 for n in range(24)]
-    # row n of a tabulated form reads comb(n + off + l), at three indices, and x(l) .. x(n + l)
+def test_a_bad_value_fails_the_sum_and_companion_checks_that_read_it(monkeypatch, bad):
+    # term bad one too large on the context's line and in sequences, the sum
+    # correction from the true terms; on r = 2, s = t = 1, seeds (1, 1, 1),
+    # t != delta and 1 - r != 0, so every weight that reads a term is nonzero
+    ctx, _ = _contexts(monkeypatch, RecurrenceParams(2, 1, 1, 1, 1, 1), ("term", bad))
+    counts = _exact_counts(ctx, SuiteConfig(n_max=23, m_max=3))
+    # the companion check at n reads term(n + 1); the scalar sum at n reads the
+    # terms up to n + 2, the lifted one up to n + 9
+    assert counts["companion_identity"] == (22, sum(n + 1 == bad for n in range(2, 24)))
+    assert counts["scalar_sum"] == (24, sum(bad <= n + 2 for n in range(24)))
+    assert counts["octonion_sum"] == (24, sum(bad <= n + 9 for n in range(24)))
+    # row n of a tabulated form reads comb(n + off + l), at three indices, and x(l) .. x(n + l);
+    # its constant row reads no term
     for name in PRESET_NAMES:
-        ctx = _OneBadValue(bad, preset_lookup(name))
-        weights, off, d = form = verify.REFERENCE_SUM_FORMS[name]
-        constant = tuple(-c for c in verify.REFERENCE_SUM_CONSTANTS[name])
+        weights, off, d = verify.REFERENCE_SUM_FORMS[name]
 
         def reads(n, l):
             lhs = sum(w for w, k in zip(weights, range(n + off + l + 2, n + off + l - 1, -1)) if k == bad)
             return lhs != d * (l <= bad <= n + l)
 
-        assert verify._sum_verdicts(ctx, form, constant, 24) == [
-            not any(reads(n, l) for l in range(8)) for n in range(24)
-        ]
+        counts = _exact_counts(_BadTermLine(preset_lookup(name), bad), SuiteConfig(n_max=23, m_max=3), name)
+        assert counts["sum_table"] == (25, sum(any(reads(n, l) for l in range(8)) for n in range(24)))
 
 
 # the tabulated summation formulas written out as octonion rows: a reference independent of REFERENCE_SUM_FORMS
@@ -451,48 +495,49 @@ _SUM_ROWS = {
     st.sampled_from([0, 0, 1, -2]),
     st.sampled_from(PRESET_NAMES),
     st.integers(0, 7),
+    st.one_of(st.none(), st.tuples(st.just("term"), st.integers(0, 40))),
 )
-@example(RecurrenceParams(1, 1, -1, 0, 1, 1), False, 6, 0, "padovan", 0)
-@example(RecurrenceParams(0, 0, 1, 0, 0, 0), True, 6, 1, "tribonacci", 7)
+@example(RecurrenceParams(1, 1, -1, 0, 1, 1), False, 6, 0, "padovan", 0, None)
+@example(RecurrenceParams(0, 0, 1, 0, 0, 0), True, 6, 1, "tribonacci", 7, None)
+@example(RecurrenceParams(1, 0, 0, 0, 0, 1), False, 10, 1, "padovan", 7, ("term", 3))
 @settings(max_examples=100, deadline=None)
-def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, bump, preset, slot):
-    if rational:
-        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+def test_sum_and_companion_verdicts_match_their_pairs(params, rational, n_max, bump, preset, slot, tamper):
+    # each packed decision holds exactly when every index's pair is equal, under a
+    # sum constant bumped by bump, a tampered term and a tampered tabulated constant
+    params = _twin(params, rational)
+    config = SuiteConfig(n_max=n_max, m_max=3)
     with pytest.MonkeyPatch.context() as mp:
         _bumped_sum_constant(mp, bump)
-        ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
-        u = list(islice(terms(params, companion=True), n_max + 1))
-        assert verify._companion_verdicts(ctx, u) == [
-            operator.eq(*companion_identity(params, n)) for n in range(2, n_max + 1)
-        ]
+        ctx, pairs = _contexts(mp, params, tamper)
+        packing = _packing(ctx, config)
+        holds = all(operator.eq(*companion_identity(params, n)) for n in range(2, n_max + 1))
+        assert verify._companion_holds(ctx, config.deepest + 1, n_max - 1, packing) == holds
         # the sum checks are skipped at delta = 0, where the closed forms are undefined
         if params.delta != 0:
             form = ((1, 1 - params.r, params.t), 0, params.delta)
-            scalar = verify._sum_verdicts(ctx, form, (verify.sum_constant(params, params.s),), n_max + 1)
-            sums = [partial_sum_formula(params, n) == prefix_sum(params, n) for n in range(n_max + 1)]
-            assert scalar == sums
-            assert verify._sum_verdicts(ctx, form, ctx.correction, n_max + 1) == [
-                pairs.sum_octonions(n) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)
-            ]
-        # the sign note counts the sets on which the misprinted constant fails at some n <= n_cap
-        n_cap = min(n_max, 10)
-        sets = [p for p in (params, verify._SIGN_WITNESS) if p.delta != 0]
-        bad = sum(
-            any(partial_sum_formula_uncorrected(p, n) != prefix_sum(p, n) for n in range(n_cap + 1))
-            for p in sets
-        )
+            constant = (verify.sum_constant(params, params.s),)
+            holds = all(partial_sum_formula(params, n) == prefix_sum(params, n) for n in range(n_max + 1))
+            assert verify._sum_holds(ctx, form, constant, n_max + 1, packing) == holds
+            holds = all(pairs.sum_octonions(n) == pairs.oct_prefix_sum(n) for n in range(n_max + 1))
+            assert verify._sum_holds(ctx, form, ctx.correction, n_max + 1, packing) == holds
+        # the sign note: whether the misprinted constant fails at some n <= n_cap,
         # decided on the context the checks above read, as run_suite does
-        fails = [verify._misprint_fails(ctx, n_cap + 1)] if params.delta != 0 else []
-        assert verify._sign_erratum_note(fails, n_cap + 1) == _sign_erratum(bad, len(sets))
-    # a tabulated form, its constant tampered by bump at slot
-    ctx, pairs = OctSequenceContext(preset_lookup(preset)), OctSequenceContext(preset_lookup(preset))
-    tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
-    tampered[slot] += bump
-    constant = Octonion(tuple(Fraction(c) for c in tampered))
-    form = verify.REFERENCE_SUM_FORMS[preset]
-    assert verify._sum_verdicts(ctx, form, (-constant).components, n_max + 1) == [
-        _SUM_ROWS[preset](pairs, n, constant) == pairs.oct_prefix_sum(n) for n in range(n_max + 1)
-    ]
+        n_cap, fails = min(n_max, 10), []
+        if params.delta != 0:
+            indices = range(n_cap + 1)
+            fails = [any(partial_sum_formula_uncorrected(params, n) != prefix_sum(params, n) for n in indices)]
+            assert [verify._misprint_fails(ctx, n_cap + 1)] == fails
+        # the note adds its witness, on which the misprinted constant fails at n = 0
+        assert verify._sign_erratum_note(fails, n_cap + 1) == _sign_erratum(sum(fails) + 1, len(fails) + 1)
+        # a tabulated form, its constant tampered by bump at slot
+        ctx, pairs = _contexts(mp, preset_lookup(preset), tamper)
+        tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
+        tampered[slot] += bump
+        constant = Octonion(tuple(Fraction(c) for c in tampered))
+        rows = [_SUM_ROWS[preset](pairs, n, constant) for n in range(n_max + 1)]
+        holds = rows == pairs.oct_prefix_sums(n_max)
+        form, packing = verify.REFERENCE_SUM_FORMS[preset], _packing(ctx, config, preset)
+        assert verify._sum_holds(ctx, form, (-constant).components, n_max + 1, packing) == holds
 
 
 def test_the_sign_note_makes_no_jump(monkeypatch):
@@ -574,26 +619,26 @@ def test_the_binet_check_reads_the_companion_terms():
 
 
 class _BadTermLine(OctSequenceContext):
-    """A context whose term line reads one too large at index bad; the combination
-    lines, the lifts and the numerator are computed from what it reads."""
+    """A context whose term line reads one too large at index bad; the lifts, the
+    combinations and the numerator are computed from what it reads."""
 
     def __init__(self, params, bad):
         super().__init__(params)
         self.bad = bad
 
-    def line(self, lo, hi, weights=None):
-        values = super().line(lo, hi, weights)
-        return values if weights else [x + (k == self.bad) for k, x in enumerate(values, lo)]
+    def line(self, lo, hi):
+        return [x + (k == self.bad) for k, x in enumerate(super().line(lo, hi), lo)]
 
 
 @pytest.mark.parametrize("bad", [10, 11, 17, 30, 45, 49, 56])
 def test_a_bad_term_fails_the_genfunc_checks_that_read_it(bad):
     # terms 0 .. 9 feed the numerator too; a later term is read only by the
     # checks of O(bad - 7) .. O(bad), one slot each
+    config = SuiteConfig(n_max=49, m_max=3)
     for params in (preset_lookup("tribonacci"), RecurrenceParams(2, -1, 3, 1, 0, -2)):
-        verdicts = verify._genfunc_verdicts(_BadTermLine(params, bad), 50)
-        assert verdicts == [not n <= bad <= n + 7 for n in range(50)]
-        assert verify._genfunc_verdicts(OctSequenceContext(params), 50) == [True] * 50
+        counts = _exact_counts(_BadTermLine(params, bad), config)
+        assert counts["genfunc_roundtrip"] == (50, sum(n <= bad <= n + 7 for n in range(50)))
+        assert _exact_counts(OctSequenceContext(params), config)["genfunc_roundtrip"] == (50, 0)
 
 
 @given(_small_params, st.booleans(), st.integers(1, 50), st.one_of(st.none(), st.integers(0, 57)))
@@ -601,12 +646,15 @@ def test_a_bad_term_fails_the_genfunc_checks_that_read_it(bad):
 @example(RecurrenceParams(1, 1, 1, 0, 1, 1), True, 50, 3)
 @settings(max_examples=100, deadline=None)
 def test_genfunc_verdicts_match_their_pairs(params, rational, count, bad):
-    if rational:
-        params = RecurrenceParams(*(Fraction(f, 3) for f in params.fields()))
+    # the packed series holds exactly when every coefficient equals its lift; a
+    # rational family goes straight to the pairs
+    params = _twin(params, rational)
     ctx = OctSequenceContext(params) if bad is None else _BadTermLine(params, bad)
     pairs = OctSequenceContext(params) if bad is None else _BadTermLine(params, bad)
     expanded = gf_expand(build_gf(pairs), count)
-    assert verify._genfunc_verdicts(ctx, count) == [expanded[n] == pairs.oct_term(n) for n in range(count)]
+    holds = all(expanded[n] == pairs.oct_term(n) for n in range(count))
+    packing = _packing(ctx, SuiteConfig(n_max=max(count - 1, 3)))
+    assert verify._genfunc_holds(ctx, count, packing) == (holds and not rational)
 
 
 def test_a_failing_check_past_double_range_is_recorded():
@@ -628,76 +676,6 @@ def test_a_failing_check_past_double_range_is_recorded():
     assert verify._rel_residual(Fraction(10**400, 3), 10**400) == 2 / 3
 
 
-def _packed_and_per_index(ctx, pairs, config, preset, bump, slot):
-    """Each packed verdict list _checks asks for, with the per-index one of the pairs context."""
-    p, n_max = ctx.params, config.n_max
-    packing = verify._packing(preset, ctx, config)
-    yield (
-        verify._lifted_verdicts(ctx, 3, ctx.shift_coefficients(3), n_max, packing),
-        verify._lifted_verdicts(pairs, 3, pairs.shift_coefficients(3), n_max),
-    )
-    for m in range(3, config.m_max + 1):
-        count = min(n_max, 50) + 1
-        yield (
-            verify._lifted_verdicts(ctx, m, ctx.shift_coefficients(m), count, packing),
-            verify._lifted_verdicts(pairs, m, pairs.shift_coefficients(m), count),
-        )
-    if p.delta != 0:
-        # the scalar constant bumped, which fails gap(0); a correction component bumped,
-        # which leaves the targets unequal
-        form = verify._scalar_sum_form(p)
-        correction = tuple(c + bump * (l == slot) for l, c in enumerate(ctx.correction))
-        for constant in ((verify.sum_constant(p, p.s) + bump,), correction):
-            yield (
-                verify._sum_verdicts(ctx, form, constant, n_max + 1, packing),
-                verify._sum_verdicts(pairs, form, constant, n_max + 1),
-            )
-    tampered = list(verify.REFERENCE_SUM_CONSTANTS[preset])
-    tampered[slot] += bump
-    constant = tuple(-Fraction(c) for c in tampered)
-    form = verify.REFERENCE_SUM_FORMS[preset]
-    yield (
-        verify._sum_verdicts(ctx, form, constant, n_max + 1, packing),
-        verify._sum_verdicts(pairs, form, constant, n_max + 1),
-    )
-    count = min(n_max + 1, 50)
-    yield verify._genfunc_verdicts(ctx, count, packing), verify._genfunc_verdicts(pairs, count)
-
-
-@given(
-    _small_params,
-    st.integers(3, 14),
-    st.integers(3, 9),
-    st.sampled_from(PRESET_NAMES),
-    st.sampled_from([0, 0, 1, -2]),
-    st.integers(0, 7),
-    st.one_of(
-        st.none(),
-        st.tuples(st.just("weight"), st.integers(3, 9), st.integers(0, 2), st.sampled_from([-1, 1, 2])),
-        st.tuples(st.just("term"), st.integers(0, 40)),
-    ),
-)
-@example(RecurrenceParams(0, 0, 0, 0, 0, 0), 3, 3, "tribonacci", 0, 0, None)
-@example(RecurrenceParams(1, 1, 1, 0, 1, 1), 14, 9, "tribonacci", 0, 0, ("term", 12))
-@example(RecurrenceParams(1, 0, 0, 0, 0, 1), 10, 5, "padovan", 1, 7, ("weight", 5, 1, -1))
-@settings(max_examples=100, deadline=None)
-def test_packed_verdicts_match_the_per_index_ones(params, n_max, m_max, preset, bump, slot, tamper):
-    # int families whose terms are often negative or run through zeros; a tampered
-    # weight or term, or a tampered tabulated constant, makes the packed tests fail
-    with pytest.MonkeyPatch.context() as mp:
-        if tamper is None:
-            ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
-        elif tamper[0] == "weight":
-            mp.setattr(octseq, "_expansion_weights", _tampered_weights(*tamper[1:]))
-            m_max = max(m_max, tamper[1])
-            ctx, pairs = OctSequenceContext(params), OctSequenceContext(params)
-        else:
-            ctx, pairs = _BadTermLine(params, tamper[1]), _BadTermLine(params, tamper[1])
-        config = SuiteConfig(n_max=n_max, m_max=m_max)
-        for packed, per_index in _packed_and_per_index(ctx, pairs, config, preset, bump, slot):
-            assert packed == per_index
-
-
 def test_slots_are_wide_enough_for_the_weights_they_are_packed_for():
     # B is the fewest whole bytes with 2^(B-1) > weight*max|x|; the relation
     # a*L2 - a*L0 + w*L20 == 0 holds on this line, L20 being a window of zeros
@@ -717,49 +695,51 @@ def test_slots_are_wide_enough_for_the_weights_they_are_packed_for():
     assert packing.window(0, 5) == sum(x << 8 * k for k, x in enumerate(edge))
     assert packing.window(1, 3) == -127 - (127 << 16)
     assert verify._Packed([128, -128], 1).bits == 16
+    # a rational line is scaled by the lcm of its denominators, and the weights
+    # of each relation by the lcm of theirs, before the same rule applies
+    packing = verify._Packed([Fraction(x, 3) for x in line], 127, rational=True)
+    assert packing.bits == 8 and packing.window(0, 2) == 1 - (1 << 8)
+    half = Fraction(1, 2)
+    assert packing.zero(holds(63 * half, half), 5)  # scaled by 2: 63, -63 and 1
+    assert not packing.zero(holds(63 * half, 1), 5)  # scaled by 2: 63, -63 and 2, past the bound
+    assert not packing.zero(((63 * half, 2), (-31, 0), (half, 20)), 5)
+    packing = verify._Packed([Fraction(1, 2), Fraction(-1, 3), 1], 1, rational=True)
+    assert packing.bits == 8 and packing.window(0, 3) == 3 - (2 << 8) + (6 << 16)
+    assert verify._Packed([Fraction(128, 5), Fraction(-1, 5)], 1, rational=True).bits == 16
 
 
 def test_integer_families_are_decided_on_packed_windows(monkeypatch):
-    # a fallback to the per-index verdicts reads a combination line (lifts, sums) or
-    # the slot columns (expansion), which no packed test does: a silent fallback
-    # keeps every result right and loses the speed
-    calls, fallbacks, inside = Counter(), [], []
-    line, columns = OctSequenceContext.line, verify.gf_columns
-
-    def line_spy(ctx, lo, hi, weights=None):
-        if weights is not None and inside and inside[-1] != "_genfunc_verdicts":
-            fallbacks.append(inside[-1])
-        return line(ctx, lo, hi, weights)
-
-    def columns_spy(gf, count):
-        fallbacks.extend(inside[-1:])
-        return columns(gf, count)
+    # a test that fails builds every index's pair, so a test that fails on working
+    # code keeps every result right and loses the speed: on passing families every
+    # test holds, but a rational family's expansion, which goes to its pairs
+    calls, failing = Counter(), []
 
     def watched(name):
-        verdicts = getattr(verify, name)
+        holds = getattr(verify, name)
 
         def call(*args):
-            packed = isinstance(args[-1], verify._Packed)
-            calls[name] += packed
-            inside.extend([name] * packed)
-            try:
-                return verdicts(*args)
-            finally:
-                del inside[len(inside) - packed :]
+            result = holds(*args)
+            # the sign note's misprinted constant, which fails by design, brings no packing
+            if isinstance(args[-1], verify._Packed):
+                calls[name] += 1
+                failing.extend([name] * (not result))
+            return result
 
         return call
 
-    monkeypatch.setattr(OctSequenceContext, "line", line_spy)
-    monkeypatch.setattr(verify, "gf_columns", columns_spy)
-    for name in ("_lifted_verdicts", "_sum_verdicts", "_genfunc_verdicts"):
+    for name in ("_lifted_holds", "_companion_holds", "_sum_holds", "_genfunc_holds"):
         monkeypatch.setattr(verify, name, watched(name))
-    report = run_suite(SuiteConfig(random_sets=200, seed=1))
+    rational = (
+        RecurrenceParams(*(Fraction(f, 3) for f in (1, 1, 1, 0, 1, 1))),
+        RecurrenceParams(*map(Fraction, ("1/2", "2/3", "1/6", "1/3", "-2", "5/7"))),
+    )
+    report = run_suite(SuiteConfig(random_sets=200, seed=1, extra_params=rational))
     assert report.total_failures == 0
     summable = report.categories["scalar_sum"].run // 41
     assert calls == {
-        "_lifted_verdicts": 204 * 19,
-        "_sum_verdicts": 2 * summable + 4,
-        "_genfunc_verdicts": 204,
+        "_lifted_holds": 206 * 19,
+        "_companion_holds": 206,
+        "_sum_holds": 2 * summable + 4,
+        "_genfunc_holds": 206,
     }
-    # the sign note's misprinted constant, which fails by design, is decided per index
-    assert fallbacks == []
+    assert failing == ["_genfunc_holds"] * 2
